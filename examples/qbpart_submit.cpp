@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "core/presolve.hpp"
 #include "core/problem_io.hpp"
 #include "service/client.hpp"
 #include "service/protocol.hpp"
@@ -177,6 +178,12 @@ int main(int argc, char** argv) {
   if (const auto exit_code = cli.run(argc, argv)) return *exit_code;
   if (presolve_mode != "on" && presolve_mode != "off") {
     std::fprintf(stderr, "--presolve must be on|off\n");
+    return 1;
+  }
+  qbp::PresolveOptions parsed_rules;
+  if (std::string error;
+      !qbp::parse_presolve_rules(presolve_rules, parsed_rules, error)) {
+    std::fprintf(stderr, "--presolve-rules: %s\n", error.c_str());
     return 1;
   }
   if (cache_mode != "on" && cache_mode != "off") {

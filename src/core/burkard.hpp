@@ -102,53 +102,48 @@ struct BurkardOptions {
   /// between iterations ("the user can have precise control over the total
   /// runtime" -- this adds the wall-clock variant of that control).
   double time_budget_seconds = 0.0;
-  /// Cooperative cancellation hook, checked between iterations (and between
-  /// starts in the multistart driver).  Empty means never stop.  The engine
-  /// portfolio wires a std::stop_token through this to cancel stragglers.
+  /// Cooperative cancellation hook, checked between iterations.  Empty
+  /// means never stop.  The engine portfolio wires a std::stop_token through
+  /// this to cancel stragglers.
   std::function<bool()> should_stop;
-  /// Presolve the instance before iterating (core/presolve.hpp): the solve
-  /// then runs normalize -> reduce -> solve(reduced) -> lift -> validate,
-  /// with the lifted outcome shadow-checked against the *original* problem
-  /// when validation is on.  Disabled by default at this layer -- the
-  /// paper's listing runs on the raw instance, and inner solves (the B = 0
-  /// initial construction, multilevel levels, portfolio starts on an
-  /// already-reduced instance) must not re-reduce.  Entry points (CLI,
-  /// service, bench harness) opt in.  When no rule fires the solve is
-  /// bit-identical to presolve.enabled = false.
+  /// Presolve in solve_qbp (core/presolve.hpp): the call then takes the one
+  /// reduce -> solve -> lift path, solve_presolved(), with burkard_heuristic
+  /// as the solve.  presolve() folds alpha/beta itself, and the lifted
+  /// outcome is shadow-checked against the *original* problem when
+  /// validation is on.  Disabled by default at this layer -- the paper's
+  /// listing runs on the raw instance, and a caller's inner solves (the
+  /// B = 0 initial construction, portfolio starts on an already-reduced
+  /// instance) must not re-reduce.  Entry points (CLI, service, bench
+  /// harness) opt in.  When no rule fires the solve is bit-identical to
+  /// presolve.enabled = false.
   PresolveOptions presolve{.enabled = false};
 };
 
-struct BurkardResult {
-  /// Best solution by penalized value y^T Qhat y (always set).
-  Assignment best;
-  double best_penalized = 0.0;
-
-  /// Best fully feasible solution (C1 and C2) and its *true* objective;
-  /// only meaningful when found_feasible.
-  Assignment best_feasible;
-  double best_feasible_objective = 0.0;
-  bool found_feasible = false;
-
+/// Incumbents (core/validate.hpp) plus the Burkard run's accounting.  The
+/// history holds the incumbent penalized value after each iteration (empty
+/// unless record_history).
+struct BurkardResult : Incumbents {
   std::int32_t iterations_run = 0;
   /// Inner GAP solves whose result violated C1 (they still steer the line
   /// search but are never certified as incumbents).
   std::int32_t infeasible_inner_solves = 0;
-  /// Incumbent penalized value after each iteration (empty unless
-  /// record_history).
-  std::vector<double> history;
-  /// Total wall clock of the call that produced this result.  For
-  /// solve_qbp_multistart this is the time across *all* starts, not just
-  /// the winner's.
+  /// Wall clock of the call that produced this result.
   double seconds = 0.0;
-  /// Wall clock of the single winning start (== seconds for solve_qbp).
-  double seconds_best_start = 0.0;
 };
 
 /// Run the heuristic from `initial` (any complete assignment -- Section 5:
-/// "QBP can start from any random solution").
+/// "QBP can start from any random solution"), presolving first when
+/// options.presolve.enabled.
 [[nodiscard]] BurkardResult solve_qbp(const PartitionProblem& problem,
                                       const Assignment& initial,
                                       const BurkardOptions& options = {});
+
+/// The heuristic itself: STEP 1-8 on `problem` as given, never presolving
+/// (options.presolve is not read).  solve_qbp wraps it; the multilevel
+/// V-cycle calls it directly for its per-level solves.
+[[nodiscard]] BurkardResult burkard_heuristic(const PartitionProblem& problem,
+                                              const Assignment& initial,
+                                              const BurkardOptions& options);
 
 class DeltaEvaluator;
 
@@ -162,33 +157,5 @@ class DeltaEvaluator;
 void polish_iterate(const PartitionProblem& problem, DeltaEvaluator& evaluator,
                     Assignment& u, std::int32_t max_sweeps,
                     std::uint64_t sweep_seed, std::int32_t inner_threads);
-
-/// Map a reduced-space result (from a solve on ReducedProblem::problem) back
-/// onto the original instance: lift both incumbents, shift objectives by the
-/// folded constant, recompute the penalized value from scratch on the
-/// original (the reduced value is only offset-exact for capacity-feasible
-/// iterates), and -- when validation is enabled -- shadow-check the lifted
-/// claims against the original problem.  Shared by solve_qbp, the multilevel
-/// driver, and the engine pipeline.
-[[nodiscard]] BurkardResult lift_burkard_result(const PartitionProblem& original,
-                                                const ReducedProblem& reduced,
-                                                BurkardResult result,
-                                                double penalty);
-
-/// The RN exact remainder solution as a lifted, validated BurkardResult.
-/// Requires reduced.rn_feasible.
-[[nodiscard]] BurkardResult rn_burkard_result(const PartitionProblem& original,
-                                              const ReducedProblem& reduced,
-                                              double penalty);
-
-/// Multistart driver: `starts` independent runs from random assignments
-/// seeded by `seed`, best feasible result wins (best penalized when none
-/// is feasible).  Exploits the Section 5 observation that QBP is
-/// insensitive to its start -- several cheap starts beat one long run on
-/// rugged instances.
-[[nodiscard]] BurkardResult solve_qbp_multistart(const PartitionProblem& problem,
-                                                 std::int32_t starts,
-                                                 std::uint64_t seed,
-                                                 const BurkardOptions& options = {});
 
 }  // namespace qbp

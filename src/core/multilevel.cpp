@@ -6,6 +6,7 @@
 #include "core/delta_evaluator.hpp"
 #include "core/qhat.hpp"
 #include "core/repair.hpp"
+#include "core/validate.hpp"
 #include "util/parallel.hpp"
 #include "util/prof.hpp"
 #include "util/rng.hpp"
@@ -230,43 +231,10 @@ BurkardResult wrap_refined(const PartitionProblem& problem, Assignment u,
   return result;
 }
 
-}  // namespace
-
-MultilevelResult solve_qbp_multilevel(const PartitionProblem& problem,
-                                      const Assignment& initial,
-                                      const MultilevelOptions& options) {
-  if (options.presolve.enabled) {
-    // Reduce once, build the whole V-cycle on the reduced instance, lift
-    // the finest result back.  Identity reductions recurse untouched so the
-    // run stays bit-identical to presolve off.
-    const Timer timer;
-    const bool needs_normalize =
-        problem.alpha() != 1.0 || problem.beta() != 1.0;
-    const ReducedProblem reduced =
-        needs_normalize ? presolve(problem.normalized(), options.presolve)
-                        : presolve(problem, options.presolve);
-    MultilevelOptions inner = options;
-    inner.presolve.enabled = false;
-    inner.coarse_solver.presolve.enabled = false;
-    inner.refine_solver.presolve.enabled = false;
-    if (reduced.identity() && !reduced.rn_feasible) {
-      return solve_qbp_multilevel(problem, initial, inner);
-    }
-    MultilevelResult lifted;
-    const double penalty = options.refine_solver.penalty;
-    if (reduced.rn_feasible) {
-      lifted.finest = rn_burkard_result(problem, reduced, penalty);
-    } else {
-      const Assignment start = reduced.lift.restrict_to_reduced(initial);
-      MultilevelResult run = solve_qbp_multilevel(reduced.problem, start, inner);
-      lifted = std::move(run);
-      lifted.finest = lift_burkard_result(problem, reduced,
-                                          std::move(lifted.finest), penalty);
-    }
-    lifted.seconds = timer.seconds();
-    return lifted;
-  }
-
+/// The V-cycle proper, on `problem` as given (never presolving).
+MultilevelResult run_vcycle(const PartitionProblem& problem,
+                            const Assignment& initial,
+                            const MultilevelOptions& options) {
   const Timer timer;
   MultilevelResult result;
 
@@ -333,7 +301,7 @@ MultilevelResult solve_qbp_multilevel(const PartitionProblem& problem,
   BurkardResult run;
   {
     QBP_PROF_SCOPE("multilevel.coarse_solve");
-    run = solve_qbp(*levels.back(), seed, coarse_options);
+    run = burkard_heuristic(*levels.back(), seed, coarse_options);
   }
   for (std::size_t level = coarse_levels.size(); level-- > 0;) {
     const PartitionProblem& fine = *levels[level];
@@ -354,13 +322,35 @@ MultilevelResult solve_qbp_multilevel(const PartitionProblem& problem,
     if (options.refine_burkard_max_n > 0 &&
         fine.num_components() <= options.refine_burkard_max_n) {
       QBP_PROF_SCOPE("multilevel.refine.burkard");
-      run = solve_qbp(fine, u, refine_options);
+      run = burkard_heuristic(fine, u, refine_options);
     } else {
       run = wrap_refined(fine, std::move(u), feasible, refine_options.penalty);
     }
   }
 
   result.finest = std::move(run);
+  result.seconds = timer.seconds();
+  return result;
+}
+
+}  // namespace
+
+MultilevelResult solve_qbp_multilevel(const PartitionProblem& problem,
+                                      const Assignment& initial,
+                                      const MultilevelOptions& options) {
+  if (!options.presolve.enabled) return run_vcycle(problem, initial, options);
+  // The whole hierarchy is built on the reduced instance; only the finest
+  // result is lifted back.
+  const Timer timer;
+  MultilevelResult result;
+  BurkardResult finest = solve_presolved<BurkardResult>(
+      problem, presolve(problem, options.presolve), initial,
+      options.refine_solver.penalty, validation_enabled(),
+      [&](const PartitionProblem& instance, const Assignment& start) {
+        result = run_vcycle(instance, start, options);
+        return std::move(result.finest);
+      });
+  result.finest = std::move(finest);
   result.seconds = timer.seconds();
   return result;
 }

@@ -30,7 +30,7 @@
 // runs as parallel proposal rounds (each vertex's preferred partner is a
 // pure function of the round's frozen matching state) followed by a serial
 // commit in a seeded deterministic order; refinement inherits the
-// determinism of polish_iterate / solve_qbp.
+// determinism of polish_iterate / burkard_heuristic.
 #pragma once
 
 #include <cstdint>
@@ -77,9 +77,9 @@ struct CoarsenOptions {
 
 struct MultilevelOptions {
   /// Total levels in the hierarchy *including* the finest: 1 disables
-  /// coarsening entirely (the run is then bit-identical to solve_qbp with
-  /// `coarse_solver` on the original problem), 2 adds one coarse level, and
-  /// so on.  Values above kMaxLevels are clamped.
+  /// coarsening entirely (the run is then bit-identical to
+  /// burkard_heuristic with `coarse_solver` on the original problem), 2 adds
+  /// one coarse level, and so on.  Values above kMaxLevels are clamped.
   std::int32_t max_levels = 20;
   /// Stop coarsening when a level shrinks the problem by less than this
   /// factor (next_clusters >= min_shrink * current_components).
@@ -109,11 +109,13 @@ struct MultilevelOptions {
   /// refinement work while the projection still reaches the finest level).
   /// Empty = never stop.
   std::function<bool()> should_stop;
-  /// Presolve the instance before building the V-cycle (core/presolve.hpp);
-  /// the whole hierarchy is then built on the reduced instance and the
-  /// finest result is lifted back.  Disabled by default at this layer (see
-  /// BurkardOptions::presolve); per-level Burkard presolve is always forced
-  /// off -- reducing an already-reduced level would only waste time.
+  /// Presolve the instance before building the V-cycle: the call then takes
+  /// the one reduce -> solve -> lift path (solve_presolved in
+  /// core/presolve.hpp), so the whole hierarchy is built on the reduced
+  /// instance and the finest result is lifted back.  Disabled by default at
+  /// this layer (see BurkardOptions::presolve).  The per-level solves run
+  /// burkard_heuristic and never presolve, whatever `coarse_solver.presolve`
+  /// and `refine_solver.presolve` say.
   PresolveOptions presolve{.enabled = false};
 
   /// Hard cap on hierarchy depth (the level storage is reserved up front so

@@ -3,12 +3,15 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <utility>
 
 #include "core/brute_force.hpp"
+#include "core/qhat.hpp"
 #include "util/check.hpp"
 #include "util/flat_map.hpp"
 #include "util/prof.hpp"
+#include "util/strings.hpp"
 #include "util/timer.hpp"
 
 namespace qbp {
@@ -423,6 +426,29 @@ void publish_counters(const PresolveStats& stats) {
 
 }  // namespace
 
+bool parse_presolve_rules(std::string_view rules, PresolveOptions& options,
+                          std::string& error) {
+  PresolveOptions parsed = options;
+  parsed.rule_r0 = parsed.rule_r1 = parsed.rule_r2 = parsed.rule_rn = false;
+  for (const std::string_view token : split(rules, ',')) {
+    const std::string_view rule = trim(token);
+    if (rule.empty()) continue;
+    bool* flag = rule == "r0"   ? &parsed.rule_r0
+                 : rule == "r1" ? &parsed.rule_r1
+                 : rule == "r2" ? &parsed.rule_r2
+                 : rule == "rn" ? &parsed.rule_rn
+                                : nullptr;
+    if (flag == nullptr) {
+      error = "unknown presolve rule '" + std::string(rule) +
+              "' (rules: r0,r1,r2,rn)";
+      return false;
+    }
+    *flag = true;
+  }
+  options = parsed;
+  return true;
+}
+
 Assignment SolutionLift::lift(const Assignment& reduced) const {
   QBP_CHECK_EQ(reduced.num_components(),
                static_cast<std::int32_t>(orig_of.size()))
@@ -494,11 +520,13 @@ ReducedProblem presolve(const PartitionProblem& problem,
     return out;
   }
 
-  QBP_CHECK(problem.alpha() == 1.0 && problem.beta() == 1.0)
-      << "presolve expects a normalized PP(1,1) instance "
-         "(PartitionProblem::normalized())";
-
-  Reducer reducer(problem, options);
+  // The rules fold costs into linear columns, which assumes PP(1,1); the
+  // folded form has the same objective values.
+  std::optional<PartitionProblem> folded;
+  if (problem.alpha() != 1.0 || problem.beta() != 1.0) {
+    folded = problem.normalized();
+  }
+  Reducer reducer(folded ? *folded : problem, options);
   reducer.run();
   out.stats = reducer.stats;
 
@@ -546,6 +574,31 @@ ReducedProblem presolve(const PartitionProblem& problem,
   out.stats.seconds = timer.seconds();
   publish_counters(out.stats);
   return out;
+}
+
+void lift_incumbents(const PartitionProblem& original,
+                     const ReducedProblem& reduced, Incumbents& result,
+                     double penalty, bool validate) {
+  const SolutionLift& lift = reduced.lift;
+  if (result.best.num_components() !=
+      static_cast<std::int32_t>(lift.orig_of.size())) {
+    return;
+  }
+  result.best = lift.lift(result.best);
+  result.best_penalized =
+      QhatMatrix(original, penalty).penalized_value(result.best);
+  if (result.found_feasible) {
+    result.best_feasible = lift.lift(result.best_feasible);
+    result.best_feasible_objective += lift.objective_offset;
+  }
+  for (double& incumbent : result.history) incumbent += lift.objective_offset;
+  if (validate) {
+    ValidateOptions validate_options;
+    validate_options.penalty = penalty;
+    enforce(validate_outcome(original, ReportedOutcome::of(result),
+                             validate_options),
+            "presolve.lift");
+  }
 }
 
 }  // namespace qbp

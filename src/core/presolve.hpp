@@ -35,29 +35,41 @@
 //       rn_max_components free components, the reduced instance is solved
 //       *exactly* with core/brute_force and the heuristic solve is skipped.
 //
-// The output is a ReducedProblem: the shrunken PP(1,1) instance plus an
-// invertible SolutionLift mapping reduced-space assignments back to the
-// original component set (and original-space starts forward).  Lifting adds
+// The rules run on the PP(1,1) form of the instance: presolve() folds
+// alpha/beta itself (PartitionProblem::normalized(), objective values
+// unchanged), so callers hand it any instance.  The output is a
+// ReducedProblem: the shrunken PP(1,1) instance plus an invertible
+// SolutionLift mapping reduced-space assignments back to the original
+// component set (and original-space starts forward).  Lifting adds
 // objective_offset to the reduced objective; for capacity-feasible solutions
 // the lifted assignment is feasible for the *original* problem whenever the
 // reduced one is feasible for the reduced problem (see DESIGN.md section 12
-// for the correctness argument).  Callers must present a normalized
-// PP(1, 1) instance -- PartitionProblem::normalized() folds alpha/beta
-// without changing objective values.
+// for the correctness argument).
+//
+// solve_presolved() below is the one reduce -> solve -> lift path: solve_qbp,
+// solve_qbp_multilevel and engine::SolvePipeline all go through it, the way
+// kaps keeps its reductions and their back-propagation in one place.
 #pragma once
 
 #include <cstdint>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/problem.hpp"
+#include "core/validate.hpp"
 
 namespace qbp {
 
+/// Configuration of presolve(), which folds alpha/beta itself, so any
+/// instance may be passed.  Embedded in BurkardOptions, MultilevelOptions and
+/// engine::PipelineOptions; when enabled there, the call takes the one
+/// reduce -> solve -> lift path, solve_presolved() below.
 struct PresolveOptions {
   /// Master switch.  presolve() returns an identity reduction when false;
   /// layers that embed these options (BurkardOptions, MultilevelOptions)
-  /// default it OFF so inner solves never re-reduce, and entry points (CLI,
-  /// service, bench harness) opt in.
+  /// default it OFF so a caller's inner solves never re-reduce, and entry
+  /// points (CLI, service, bench harness) opt in.
   bool enabled = true;
   bool rule_r0 = true;
   bool rule_r1 = true;
@@ -75,6 +87,15 @@ struct PresolveOptions {
   double r1_max_size_fraction = 0.05;
   double r1_max_reserve_fraction = 0.25;
 };
+
+/// Set the rule switches of `options` from a comma-separated subset of
+/// "r0,r1,r2,rn" (the grammar of --presolve-rules and of the service's
+/// "presolve_rules"): listed rules on, the others off; "" turns every rule
+/// off.  An unknown token leaves `options` untouched, names itself in
+/// `error` and returns false.
+[[nodiscard]] bool parse_presolve_rules(std::string_view rules,
+                                        PresolveOptions& options,
+                                        std::string& error);
 
 /// kaps-style reduction counters plus bookkeeping of one presolve() call.
 struct PresolveStats {
@@ -143,8 +164,8 @@ struct SolutionLift {
 /// Result of presolve(): the instance to hand to a solver plus the lift.
 struct ReducedProblem {
   /// The reduced PP(1,1) instance.  When identity() this is an unmodified
-  /// copy of the input, so a solver run on it is bit-identical to a run on
-  /// the input itself.
+  /// copy of the input (alpha/beta included), so a solver run on it is
+  /// bit-identical to a run on the input itself.
   PartitionProblem problem;
   SolutionLift lift;
   PresolveStats stats;
@@ -161,12 +182,56 @@ struct ReducedProblem {
   [[nodiscard]] bool identity() const noexcept { return lift.identity(); }
 };
 
-/// Reduce `problem` (which must be normalized: alpha == beta == 1) to a
-/// fixed point of the enabled rules.  Deterministic: rules scan components
-/// in ascending id order and break ties toward the lowest partition id.
-/// Publishes presolve.{r0,r1,r2,rn,components_removed,seconds} counters to
-/// util/prof when profiling is enabled.
+/// Reduce the PP(1,1) form of `problem` to a fixed point of the enabled
+/// rules.  Deterministic: rules scan components in ascending id order and
+/// break ties toward the lowest partition id.  Publishes
+/// presolve.{r0,r1,r2,rn,components_removed,seconds} counters to util/prof
+/// when profiling is enabled.
 [[nodiscard]] ReducedProblem presolve(const PartitionProblem& problem,
                                       const PresolveOptions& options = {});
+
+/// Map reduced-space incumbents onto `original` in place: lift both
+/// assignments, shift the objective and history by the folded constant, and
+/// recompute the penalized value from scratch on the original (the reduced
+/// value is only offset-exact for capacity-feasible iterates).  With
+/// `validate`, the lifted claims are shadow-checked against `original`.  A
+/// result whose `best` does not match the reduced instance (a skipped or
+/// errored portfolio slot) is left alone.
+void lift_incumbents(const PartitionProblem& original,
+                     const ReducedProblem& reduced, Incumbents& result,
+                     double penalty, bool validate);
+
+/// The one reduce -> solve -> lift path.  `reduced` is presolve(original);
+/// `solve(instance, start)` runs the caller's presolve-free solver and
+/// returns a Result deriving from Incumbents.
+///
+///   * RN solved the remainder: the solver never runs; the result carries
+///     the lifted exact optimum.
+///   * No rule fired: `solve(original, initial)` -- bit-identical to not
+///     presolving at all.
+///   * Otherwise: solve the reduced instance from the restricted start and
+///     lift (lift_incumbents).
+///
+/// `penalty` is the one the solver's penalized values are measured in.
+template <class Result, class Solve>
+[[nodiscard]] Result solve_presolved(const PartitionProblem& original,
+                                     const ReducedProblem& reduced,
+                                     const Assignment& initial, double penalty,
+                                     bool validate, Solve&& solve) {
+  if (reduced.identity() && !reduced.rn_feasible) {
+    return solve(original, initial);
+  }
+  Result result;
+  if (reduced.rn_feasible) {
+    result.best = reduced.rn_assignment;
+    result.best_feasible = reduced.rn_assignment;
+    result.best_feasible_objective = reduced.rn_objective;
+    result.found_feasible = true;
+  } else {
+    result = solve(reduced.problem, reduced.lift.restrict_to_reduced(initial));
+  }
+  lift_incumbents(original, reduced, result, penalty, validate);
+  return result;
+}
 
 }  // namespace qbp

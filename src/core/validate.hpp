@@ -32,6 +32,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -70,8 +71,23 @@ struct ValidationReport {
   void merge(ValidationReport other);
 };
 
-/// What a solver claims about its outcome, in primitives (the engine layer
-/// adapts its SolverResult onto this; core cannot depend on engine).
+/// The incumbents every solver result carries.  BurkardResult and
+/// engine::SolverResult both derive from it, so one lift (core/presolve.hpp)
+/// and one audit serve every solver.
+struct Incumbents {
+  /// Best solution by penalized value y^T Qhat y; always set by a solve.
+  Assignment best;
+  double best_penalized = std::numeric_limits<double>::infinity();
+  /// Best fully feasible solution (C1 and C2) and its *true* objective;
+  /// only meaningful when found_feasible.
+  Assignment best_feasible;
+  double best_feasible_objective = 0.0;
+  bool found_feasible = false;
+  /// Incumbent penalized value per iteration, where the solver records one.
+  std::vector<double> history;
+};
+
+/// What a solver claims about its outcome, in primitives.
 struct ReportedOutcome {
   /// Best-by-penalized-value assignment; required.
   const Assignment* best = nullptr;
@@ -79,6 +95,18 @@ struct ReportedOutcome {
   /// Feasible incumbent; nullptr when the solver found none.
   const Assignment* best_feasible = nullptr;
   double best_feasible_objective = 0.0;
+
+  /// The claims of `result` (which must outlive the outcome).
+  [[nodiscard]] static ReportedOutcome of(const Incumbents& result) {
+    ReportedOutcome outcome;
+    outcome.best = &result.best;
+    outcome.best_penalized = result.best_penalized;
+    if (result.found_feasible) {
+      outcome.best_feasible = &result.best_feasible;
+      outcome.best_feasible_objective = result.best_feasible_objective;
+    }
+    return outcome;
+  }
 };
 
 /// Recompute feasibility and objectives from scratch and compare with the

@@ -81,13 +81,8 @@ SolverResult BurkardSolver::solve(const PartitionProblem& problem,
   BurkardResult run = solve_qbp(problem, start.assignment, options);
 
   SolverResult result;
+  static_cast<Incumbents&>(result) = std::move(run);
   result.solver = std::string(name());
-  result.best = std::move(run.best);
-  result.best_penalized = run.best_penalized;
-  result.best_feasible = std::move(run.best_feasible);
-  result.best_feasible_objective = run.best_feasible_objective;
-  result.found_feasible = run.found_feasible;
-  result.history = std::move(run.history);
   result.iterations = run.iterations_run;
   result.seconds = run.seconds;
   result.cancelled = stop.stop_requested();
@@ -102,13 +97,8 @@ SolverResult MultilevelSolver::solve(const PartitionProblem& problem,
   MultilevelResult run = solve_qbp_multilevel(problem, start.assignment, options);
 
   SolverResult result;
+  static_cast<Incumbents&>(result) = std::move(run.finest);
   result.solver = std::string(name());
-  result.best = std::move(run.finest.best);
-  result.best_penalized = run.finest.best_penalized;
-  result.best_feasible = std::move(run.finest.best_feasible);
-  result.best_feasible_objective = run.finest.best_feasible_objective;
-  result.found_feasible = run.finest.found_feasible;
-  result.history = std::move(run.finest.history);
   result.iterations = run.finest.iterations_run;
   result.seconds = run.seconds;
   result.cancelled = stop.stop_requested();

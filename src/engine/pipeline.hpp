@@ -1,14 +1,13 @@
-// SolvePipeline: the explicit normalize -> presolve -> solve(reduced) ->
-// lift -> validate path every entry point shares.
+// SolvePipeline: the presolve -> solve(reduced) -> lift -> validate path
+// every entry point shares.
 //
 // The pipeline wraps any Solver (or a whole portfolio of starts of one) and
 // owns the instance-level work that must happen exactly once per job rather
 // than once per start:
 //
-//   normalize   fold alpha/beta into P/B (skipped when already PP(1,1), so
-//               the common case stays bit-identical to the raw solve path);
-//   presolve    run core/presolve to a fixed point, producing the reduced
-//               instance and the SolutionLift;
+//   presolve    run core/presolve to a fixed point (it folds alpha/beta
+//               itself), producing the reduced instance and the
+//               SolutionLift;
 //   solve       run the wrapped solver / portfolio on the *reduced* problem
 //               -- all starts share one ReducedProblem;
 //   lift        map every produced result back to original-space components,
@@ -18,11 +17,13 @@
 //               kept, every lifted start) against the ORIGINAL problem with
 //               core/validate, firing a contract violation on any mismatch.
 //
-// When presolve reduces nothing the pipeline degenerates to a plain
-// Portfolio::run on an untouched copy of the input -- results are
-// bit-identical to not using the pipeline at all.  When RN solved the whole
-// remainder exactly, the solver never runs: the portfolio collapses to a
-// single synthesized result carrying the lifted exact optimum.
+// solve_one() is core's solve_presolved() with the Solver as the solve; run()
+// shares its lift and RN short-circuit.  When presolve reduces nothing the
+// pipeline degenerates to a plain Portfolio::run on an untouched copy of the
+// input -- results are bit-identical to not using the pipeline at all.  When
+// RN solved the whole remainder exactly, the solver never runs: the
+// portfolio collapses to a single synthesized result carrying the lifted
+// exact optimum.
 //
 // Determinism: presolve is deterministic, the portfolio's determinism
 // contract is unchanged (start points remain pure functions of (seed,
@@ -64,8 +65,8 @@ struct PipelineResult {
 
 class SolvePipeline {
  public:
-  /// Normalizes and presolves `problem` once, up front.  The pipeline keeps
-  /// its own copies; the caller's problem need not outlive it.
+  /// Presolves `problem` once, up front.  The pipeline keeps its own
+  /// copies; the caller's problem need not outlive it.
   explicit SolvePipeline(const PartitionProblem& problem,
                          PipelineOptions options = {});
 
@@ -91,18 +92,15 @@ class SolvePipeline {
                                    std::int32_t starts) const;
 
   /// One run from an explicit start point (restricted into reduced space),
-  /// lifted and validated.  For callers that construct their own initial
-  /// solution instead of sampling portfolio starts.
+  /// lifted and validated: solve_presolved() over `solver`.  For callers
+  /// that construct their own initial solution instead of sampling
+  /// portfolio starts.
   [[nodiscard]] SolverResult solve_one(const Solver& solver,
                                        const StartPoint& start) const;
 
  private:
-  /// Lift one reduced-space result to original space in place.
-  void lift_result(SolverResult& result, double penalty) const;
-  /// Shadow-check a lifted result against the original problem.
-  void validate_lifted(const SolverResult& result, double penalty) const;
-  /// The RN exact optimum as a synthesized, lifted SolverResult.
-  [[nodiscard]] SolverResult rn_result(const Solver& solver) const;
+  /// Whether lifted results are shadow-checked against the original.
+  [[nodiscard]] bool validate() const;
 
   PartitionProblem original_;
   ReducedProblem reduced_;

@@ -59,14 +59,8 @@ void audit_result(const PartitionProblem& problem, const Solver& solver,
                   std::int32_t index, SolverResult& slot) {
   ValidateOptions audit;
   audit.penalty = solver.penalized_with();
-  ReportedOutcome outcome;
-  outcome.best = &slot.best;
-  outcome.best_penalized = slot.best_penalized;
-  if (slot.found_feasible) {
-    outcome.best_feasible = &slot.best_feasible;
-    outcome.best_feasible_objective = slot.best_feasible_objective;
-  }
-  ValidationReport report = validate_outcome(problem, outcome, audit);
+  ValidationReport report =
+      validate_outcome(problem, ReportedOutcome::of(slot), audit);
   if (slot.best.is_complete()) {
     report.merge(validate_deltas(problem, slot.best, audit));
   }

@@ -22,15 +22,14 @@
 #pragma once
 
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <stop_token>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "core/embedding.hpp"
 #include "core/problem.hpp"
+#include "core/validate.hpp"
 
 namespace qbp::engine {
 
@@ -44,25 +43,13 @@ struct StartPoint {
 };
 
 /// Normalized solver outcome (the common denominator of BurkardResult,
-/// GfmResult, GklResult, SaResult and MultilevelResult).
-struct SolverResult {
+/// GfmResult, GklResult, SaResult and MultilevelResult): the shared
+/// Incumbents plus engine accounting.  For feasible-region solvers
+/// (GFM/GKL/SA) `best` equals `best_feasible` and the penalized value
+/// equals the true objective (no violations).
+struct SolverResult : Incumbents {
   /// Name of the producing solver (adapter-provided, e.g. "qbp", "sa").
   std::string solver;
-
-  /// Best solution by penalized value y^T Qhat y; always set.  For
-  /// feasible-region solvers (GFM/GKL/SA) this equals best_feasible and the
-  /// penalized value equals the true objective (no violations).
-  Assignment best;
-  double best_penalized = std::numeric_limits<double>::infinity();
-
-  /// Best fully feasible solution (C1 and C2) and its *true* objective;
-  /// only meaningful when found_feasible.
-  Assignment best_feasible;
-  double best_feasible_objective = 0.0;
-  bool found_feasible = false;
-
-  /// Incumbent trajectory where the underlying solver records one.
-  std::vector<double> history;
 
   /// Solver-specific progress unit (Burkard iterations, SA temperature
   /// steps, FM/KL passes).

@@ -66,17 +66,6 @@ class TextBuf : public std::streambuf {
   }
 };
 
-void apply_presolve_spec(engine::PipelineOptions& options,
-                         const SolverSpec& spec) {
-  options.presolve.enabled = spec.presolve;
-  options.presolve.rn_max_components = spec.presolve_rn;
-  const std::string& rules = spec.presolve_rules;
-  options.presolve.rule_r0 = rules.find("r0") != std::string::npos;
-  options.presolve.rule_r1 = rules.find("r1") != std::string::npos;
-  options.presolve.rule_r2 = rules.find("r2") != std::string::npos;
-  options.presolve.rule_rn = rules.find("rn") != std::string::npos;
-}
-
 CachedSolve to_cached(const JobResult& result) {
   CachedSolve cached;
   cached.solver = result.solver;
@@ -265,7 +254,12 @@ JobResult run_job(const Job& job, SolutionCache* cache) {
   }
 
   engine::PipelineOptions options;
-  apply_presolve_spec(options, job.solver);
+  options.presolve.enabled = job.solver.presolve;
+  options.presolve.rn_max_components = job.solver.presolve_rn;
+  if (std::string error; !parse_presolve_rules(job.solver.presolve_rules,
+                                               options.presolve, error)) {
+    return error_result(job, error);
+  }
   options.portfolio.seed = job.solver.seed;
   options.portfolio.threads = job.solver.threads;
   options.portfolio.keep_start_results = false;

@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "core/presolve.hpp"
+
 namespace qbp::service {
 
 namespace {
@@ -104,6 +106,10 @@ ParseResult parse_request(std::string_view line, Request& out) {
         return {false, "'presolve_rules' must be a string"};
       }
       out.solver.presolve_rules = rules->as_string();
+      if (PresolveOptions parsed; !parse_presolve_rules(
+              out.solver.presolve_rules, parsed, error)) {
+        return {false, "'presolve_rules': " + error};
+      }
     }
     if (!read_int32(*solver, "ml_levels", out.solver.ml_levels, error) ||
         !read_int32(*solver, "ml_refine_passes", out.solver.ml_refine_passes,

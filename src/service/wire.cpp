@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/presolve.hpp"
 #include "netlist/netlist.hpp"
 #include "partition/topology.hpp"
 #include "sparse/dense.hpp"
@@ -430,6 +431,9 @@ bool decode_submit(std::string_view payload, Request& out, std::string& error) {
   std::string_view rules;
   if (!reader.string(rules)) return fail(error, "truncated presolve_rules");
   out.solver.presolve_rules = std::string(rules);
+  if (PresolveOptions parsed; !parse_presolve_rules(rules, parsed, error)) {
+    return fail(error, "'presolve_rules': " + error);
+  }
   if (!read_i32(reader, out.solver.ml_levels, error, "ml_levels")) {
     return false;
   }

@@ -12,6 +12,7 @@
 #include "core/burkard.hpp"
 #include "core/initial.hpp"
 #include "core/qhat.hpp"
+#include "engine/engine.hpp"
 #include "partition/cost.hpp"
 #include "test_support.hpp"
 #include "util/rng.hpp"
@@ -185,7 +186,12 @@ TEST_P(AsymmetricSweep, BurkardSoundAndNearOptimalOnAsymmetricInstances) {
   BurkardOptions options;
   options.iterations = 80;
   options.penalty = 200.0;  // entries of B reach 9 * multiplicity 4 = 36
-  const auto result = solve_qbp_multistart(problem, 4, GetParam(), options);
+  engine::PortfolioOptions portfolio;
+  portfolio.seed = GetParam();
+  portfolio.threads = 1;
+  const auto result = engine::Portfolio(portfolio)
+                          .run(problem, engine::BurkardSolver(options), 4)
+                          .best;
   ASSERT_TRUE(result.found_feasible);
   EXPECT_TRUE(problem.is_feasible(result.best_feasible));
   EXPECT_GE(result.best_feasible_objective, exact.value - 1e-9);

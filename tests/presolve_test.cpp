@@ -428,5 +428,112 @@ TEST(PresolvePipeline, OffModeMatchesPlainPortfolio) {
   EXPECT_EQ(piped.portfolio.best.best_penalized, plain.best.best_penalized);
 }
 
+// --- one reduce -> solve -> lift path: every entry point that presolves
+// must agree bit for bit, because they all run solve_presolved().
+
+void expect_same_incumbents(const Incumbents& a, const Incumbents& b) {
+  EXPECT_EQ(a.found_feasible, b.found_feasible);
+  EXPECT_EQ(a.best, b.best);
+  EXPECT_EQ(a.best_penalized, b.best_penalized);
+  EXPECT_EQ(a.best_feasible, b.best_feasible);
+  EXPECT_EQ(a.best_feasible_objective, b.best_feasible_objective);
+}
+
+/// solve_qbp / solve_qbp_multilevel with presolve on against
+/// SolvePipeline::solve_one over the matching adapter; with
+/// `same_as_presolve_off`, also against the presolve-off runs.
+void expect_entry_points_agree(const PartitionProblem& problem,
+                               bool same_as_presolve_off) {
+  const Assignment initial =
+      make_initial(problem, InitialStrategy::kQbpZeroWireCost, 7).assignment;
+  const engine::SolvePipeline pipeline(problem);
+  const engine::StartPoint start{initial, 1};
+
+  BurkardOptions burkard;
+  burkard.iterations = 10;
+  BurkardOptions burkard_on = burkard;
+  burkard_on.presolve.enabled = true;
+  const BurkardResult direct = solve_qbp(problem, initial, burkard_on);
+  {
+    SCOPED_TRACE("solve_qbp vs pipeline over BurkardSolver");
+    expect_same_incumbents(
+        direct, pipeline.solve_one(engine::BurkardSolver(burkard), start));
+  }
+
+  MultilevelOptions multilevel;
+  multilevel.coarse_solver.iterations = 8;
+  multilevel.refine_solver.iterations = 8;
+  MultilevelOptions multilevel_on = multilevel;
+  multilevel_on.presolve.enabled = true;
+  const MultilevelResult vcycle =
+      solve_qbp_multilevel(problem, initial, multilevel_on);
+  {
+    SCOPED_TRACE("solve_qbp_multilevel vs pipeline over MultilevelSolver");
+    expect_same_incumbents(
+        vcycle.finest,
+        pipeline.solve_one(engine::MultilevelSolver(multilevel), start));
+  }
+
+  if (same_as_presolve_off) {
+    SCOPED_TRACE("presolve on vs off");
+    expect_same_incumbents(direct, solve_qbp(problem, initial, burkard));
+    expect_same_incumbents(
+        vcycle.finest,
+        solve_qbp_multilevel(problem, initial, multilevel).finest);
+  }
+}
+
+TEST(PresolveEntryPoints, AgreeOnReducibleInstance) {
+  const PartitionProblem problem = make_presolve_problem(200, 42);
+  const ReducedProblem reduced = presolve(problem);
+  ASSERT_FALSE(reduced.identity());
+  ASSERT_FALSE(reduced.rn_solved);
+  expect_entry_points_agree(problem, /*same_as_presolve_off=*/false);
+}
+
+TEST(PresolveEntryPoints, AgreeWhenRnSolvesExactly) {
+  const PartitionProblem problem = make_r1_problem();
+  const ReducedProblem reduced = presolve(problem);
+  ASSERT_TRUE(reduced.rn_feasible);
+  expect_entry_points_agree(problem, /*same_as_presolve_off=*/false);
+}
+
+TEST(PresolveEntryPoints, ScaledInstanceWithoutReductionsSolvesTheInput) {
+  // PP(1, 1.7): presolve folds beta itself, finds nothing to reduce and hands
+  // back the input, so every entry point solves the unscaled-cost original
+  // exactly as with presolve off.
+  const auto instance = make_circuit(*find_preset("cktb"));
+  const PartitionProblem problem(
+      instance.problem.netlist(), instance.problem.topology(),
+      instance.problem.timing(), instance.problem.linear_cost_matrix(),
+      /*alpha=*/1.0, /*beta=*/1.7);
+  const ReducedProblem reduced = presolve(problem);
+  ASSERT_TRUE(reduced.identity());
+  ASSERT_FALSE(reduced.rn_solved);
+  EXPECT_EQ(reduced.problem.beta(), 1.7);
+  expect_entry_points_agree(problem, /*same_as_presolve_off=*/true);
+}
+
+TEST(PresolveRulesSpec, ParsesSubsetsAndRejectsUnknownTokens) {
+  PresolveOptions options;
+  std::string error;
+  ASSERT_TRUE(parse_presolve_rules("r0, rn", options, error)) << error;
+  EXPECT_TRUE(options.rule_r0);
+  EXPECT_FALSE(options.rule_r1);
+  EXPECT_FALSE(options.rule_r2);
+  EXPECT_TRUE(options.rule_rn);
+  ASSERT_TRUE(parse_presolve_rules("", options, error)) << error;
+  EXPECT_FALSE(options.rule_r0 || options.rule_r1 || options.rule_r2 ||
+               options.rule_rn);
+
+  options = PresolveOptions{};
+  EXPECT_FALSE(parse_presolve_rules("r0,bogus", options, error));
+  EXPECT_NE(error.find("bogus"), std::string::npos) << error;
+  EXPECT_TRUE(options.rule_r0 && options.rule_r1 && options.rule_r2 &&
+              options.rule_rn)
+      << "a rejected list must leave the options untouched";
+  EXPECT_FALSE(parse_presolve_rules("r0r1", options, error));
+}
+
 }  // namespace
 }  // namespace qbp

@@ -148,6 +148,13 @@ TEST(Protocol, SubmitRoundTripPreservesEveryField) {
   EXPECT_EQ(decoded.solver.ml_refine_passes, 2);
   EXPECT_FALSE(decoded.cache);
   EXPECT_FALSE(decoded.warm_start);
+
+  // An unknown presolve rule is rejected, not silently dropped.
+  request.solver.presolve_rules = "r0,bogus";
+  const auto rejected = parse_request(format_request(request), decoded);
+  EXPECT_FALSE(rejected.ok);
+  EXPECT_NE(rejected.message.find("bogus"), std::string::npos)
+      << rejected.message;
 }
 
 TEST(Protocol, MultilevelSpecFieldsValidateAndDefault) {

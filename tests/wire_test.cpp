@@ -353,7 +353,7 @@ TEST(MessageCodec, MalformedPayloadsFailWithMessagesNeverAbort) {
   std::string text;
   std::string error;
   // Empty and garbage payloads across every decoder.
-  for (const std::string payload :
+  for (const std::string& payload :
        {std::string(), std::string("\xFF\xFF\xFF\xFF", 4),
         std::string(64, '\x80')}) {
     EXPECT_FALSE(service::decode_submit(payload, request, error));
@@ -361,6 +361,17 @@ TEST(MessageCodec, MalformedPayloadsFailWithMessagesNeverAbort) {
     EXPECT_FALSE(service::decode_cancel(payload, request, error));
     EXPECT_FALSE(service::decode_result(payload, result, error));
   }
+  // A well-formed submit naming an unknown presolve rule.
+  service::Request bogus_rules = submit_request();
+  bogus_rules.problem_text = "problem p\n";
+  bogus_rules.solver.presolve_rules = "r0,bogus";
+  std::string frame;
+  service::encode_request_frame(bogus_rules, frame);
+  std::uint8_t type = 0;
+  std::string payload;
+  split_frame(frame, type, payload);
+  EXPECT_FALSE(service::decode_submit(payload, request, error));
+  EXPECT_NE(error.find("bogus"), std::string::npos) << error;
   // A note payload of two empty strings decodes; garbage does not.
   EXPECT_FALSE(service::decode_note(std::string("\xFF", 1), id, text, error));
 }
