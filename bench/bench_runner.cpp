@@ -23,11 +23,17 @@
 // algorithm changed -- and wall-clock must satisfy
 //   new <= old * (1 + time_tolerance) + 0.1 s
 // (the absolute slack keeps sub-100ms smoke timings from tripping on noise).
+// With --inner-threads above 1 on a host with at least 4 hardware threads,
+// a full-mode --check of the scaling suite also solves each row at T=1 and
+// fails when the threaded wall exceeds 1.15x the T=1 wall + 0.1 s (a
+// speedup-ratio gate: threading must not cost time); on smaller hosts it
+// prints a skip line.
 #include <algorithm>
 #include <cstdio>
 #include <cmath>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_support/circuits.hpp"
@@ -43,6 +49,7 @@
 #include "netlist/stats.hpp"
 #include "util/cli.hpp"
 #include "util/json.hpp"
+#include "util/parallel.hpp"
 #include "util/prof.hpp"
 #include "util/simd.hpp"
 #include "util/strings.hpp"
@@ -79,6 +86,10 @@ struct ScalingRow {
   double ms_per_iter = 0.0;
   double final_cost = 0.0;
   bool feasible = false;
+  /// The same solve at one thread (timed only for the speedup-ratio gate;
+  /// t1_seconds < 0 when not run).
+  double t1_seconds = -1.0;
+  double t1_final_cost = 0.0;
 };
 
 std::vector<qbp::ExperimentRow> run_table_suite(bool with_timing,
@@ -114,7 +125,11 @@ std::vector<qbp::ExperimentRow> run_table_suite(bool with_timing,
   return rows;
 }
 
-std::vector<ScalingRow> run_scaling_suite(const RunnerConfig& config) {
+/// With `time_t1`, every row is solved a second time at one thread right
+/// after its timed solve, so the speedup-ratio gate compares runs taken
+/// under the same host conditions.
+std::vector<ScalingRow> run_scaling_suite(const RunnerConfig& config,
+                                          bool time_t1) {
   const std::vector<std::int32_t> sizes =
       config.smoke ? std::vector<std::int32_t>{200, 400}
                    : std::vector<std::int32_t>{200, 400, 800, 1600, 3200};
@@ -131,6 +146,10 @@ std::vector<ScalingRow> run_scaling_suite(const RunnerConfig& config) {
     options.iterations = iterations;
     options.inner_threads = static_cast<std::int32_t>(config.inner_threads);
     options.presolve.enabled = config.presolve;
+    const auto final_cost = [&](const qbp::BurkardResult& result) {
+      return result.found_feasible ? problem.wirelength(result.best_feasible)
+                                   : start;
+    };
     const qbp::Timer timer;
     const auto result = qbp::solve_qbp(problem, initial.assignment, options);
 
@@ -145,9 +164,15 @@ std::vector<ScalingRow> run_scaling_suite(const RunnerConfig& config) {
                           ? row.seconds * 1000.0 / result.iterations_run
                           : 0.0;
     row.feasible = result.found_feasible;
-    row.final_cost = result.found_feasible
-                         ? problem.wirelength(result.best_feasible)
-                         : start;
+    row.final_cost = final_cost(result);
+    if (time_t1) {
+      options.inner_threads = 1;
+      const qbp::Timer t1_timer;
+      const auto t1_result =
+          qbp::solve_qbp(problem, initial.assignment, options);
+      row.t1_seconds = t1_timer.seconds();
+      row.t1_final_cost = final_cost(t1_result);
+    }
     rows.push_back(row);
     std::fprintf(stderr, "  N=%d done (%.2fs)\n", n, row.seconds);
   }
@@ -545,6 +570,10 @@ qbp::json::Value scaling_to_json(const std::vector<ScalingRow>& rows) {
 
 // --- baseline comparison ---------------------------------------------------
 
+/// Absolute slack on every wall-clock gate, so sub-100ms timings do not trip
+/// on noise.
+constexpr double kWallClockSlack = 0.1;
+
 struct Gate {
   double time_tolerance = 0.25;
   int failures = 0;
@@ -557,7 +586,7 @@ struct Gate {
     ++failures;
   }
   void wall_clock(const std::string& where, double baseline, double current) {
-    const double limit = baseline * (1.0 + time_tolerance) + 0.1;
+    const double limit = baseline * (1.0 + time_tolerance) + kWallClockSlack;
     if (current <= limit) return;
     std::fprintf(stderr,
                  "GATE FAIL %s: time regressed (baseline %.3fs, limit %.3fs, "
@@ -850,6 +879,13 @@ void check_serve_suite(Gate& gate, const qbp::json::Value& baseline,
   }
 }
 
+/// The scaling suite's speedup-ratio gate: with more than one inner thread
+/// on a host with at least kMinHardwareThreadsForSpeedupGate hardware
+/// threads, each full-mode row's wall may be at most this multiple of the
+/// same solve at T=1, plus Gate::wall_clock's absolute slack.
+constexpr double kMaxSlowdownVsT1 = 1.15;
+constexpr unsigned kMinHardwareThreadsForSpeedupGate = 4;
+
 void check_scaling_suite(Gate& gate, const qbp::json::Value& baseline,
                          const std::vector<ScalingRow>& rows) {
   for (const auto& row : rows) {
@@ -870,6 +906,18 @@ void check_scaling_suite(Gate& gate, const qbp::json::Value& baseline,
                    row.final_cost);
     gate.wall_clock(where + "/seconds", base_row->get_number("seconds", 0.0),
                     row.seconds);
+    if (row.t1_seconds < 0.0) continue;
+    // Speedup-ratio gate: threading must not make the solve slower.
+    gate.objective(where + "/final at T=1", row.t1_final_cost, row.final_cost);
+    const double limit = kMaxSlowdownVsT1 * row.t1_seconds + kWallClockSlack;
+    if (row.seconds > limit) {
+      std::fprintf(stderr,
+                   "GATE FAIL %s: T=%d took %.3fs, over %.2fx the T=1 solve "
+                   "(%.3fs) + %.1fs\n",
+                   where.c_str(), row.threads, row.seconds, kMaxSlowdownVsT1,
+                   row.t1_seconds, kWallClockSlack);
+      ++gate.failures;
+    }
   }
 }
 
@@ -981,12 +1029,31 @@ int main(int argc, char** argv) {
   }
   if (want("scaling")) {
     std::fprintf(stderr, "suite scaling\n");
-    scaling = run_scaling_suite(config);
-    qbp::TextTable table({"N", "solve (s)", "final", "feasible"});
+    // The speedup-ratio gate needs several hardware threads and rows long
+    // enough to time (smoke rows last milliseconds).
+    bool time_t1 = false;
+    if (!check_path.empty() && !config.smoke &&
+        qbp::par::resolve_threads(
+            static_cast<std::int32_t>(config.inner_threads)) > 1) {
+      const unsigned hardware = std::thread::hardware_concurrency();
+      time_t1 = hardware >= kMinHardwareThreadsForSpeedupGate;
+      if (!time_t1) {
+        std::printf("scaling: speedup-ratio gate skipped (%u hardware "
+                    "threads, needs %u)\n",
+                    hardware, kMinHardwareThreadsForSpeedupGate);
+      }
+    }
+    scaling = run_scaling_suite(config, time_t1);
+    std::vector<std::string> headers{"N", "solve (s)", "final", "feasible"};
+    if (time_t1) headers.insert(headers.begin() + 2, "T=1 (s)");
+    qbp::TextTable table(headers);
     for (const auto& row : scaling) {
-      table.add_row({std::to_string(row.n), qbp::format_double(row.seconds, 2),
-                     qbp::format_double(row.final_cost, 1),
-                     row.feasible ? "yes" : "no"});
+      std::vector<std::string> cells{std::to_string(row.n),
+                                     qbp::format_double(row.seconds, 2)};
+      if (time_t1) cells.push_back(qbp::format_double(row.t1_seconds, 2));
+      cells.push_back(qbp::format_double(row.final_cost, 1));
+      cells.push_back(row.feasible ? "yes" : "no");
+      table.add_row(cells);
     }
     std::printf("%s\n", table.render().c_str());
     suites.set("scaling", scaling_to_json(scaling));

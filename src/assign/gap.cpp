@@ -1,6 +1,7 @@
 #include "assign/gap.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <queue>
@@ -20,10 +21,16 @@ constexpr double kCapTolerance = 1e-9;
 
 /// Chunk grains for the parallel scans.  Pure layout constants (never a
 /// function of the thread count): items whose inner work is O(M) chunk at
-/// 128, the O(1)-per-item swap predicate at 512.  Ranges that fit in one
-/// chunk run inline, so small instances never pay pool overhead.
+/// 128; swap-pass rows, each an O(N) partner scan, chunk at 8 -- about one
+/// row in twenty commits, so small chunks keep the speculative scans past
+/// the committing row short.  Ranges with few chunks run inline, so small
+/// instances never pay pool overhead.
 constexpr std::int64_t kItemGrain = 128;
-constexpr std::int64_t kSwapGrain = 512;
+constexpr std::int64_t kRowGrain = 8;
+
+/// Agent counts up to this keep a swap row's masked cost column on the
+/// stack, so speculative rows never allocate.
+constexpr std::int32_t kStackAgents = 64;
 
 /// Column-major cost view: item j's M agent costs are contiguous at
 /// [j*M, (j+1)*M).  Every phase of the heuristic scans per-item agent costs,
@@ -53,6 +60,22 @@ struct BestPair {
     if (second_cost == kInf) return 1e18;
     return second_cost - best_cost;
   }
+};
+
+/// One item's M agent costs with its own agent masked to +inf: the swap
+/// scan's lookup table.  Small M lives on the stack.
+class MaskedColumn {
+ public:
+  explicit MaskedColumn(std::int32_t m) {
+    if (m > kStackAgents) heap_.resize(static_cast<std::size_t>(m));
+  }
+  [[nodiscard]] double* data() noexcept {
+    return heap_.empty() ? stack_.data() : heap_.data();
+  }
+
+ private:
+  std::array<double, kStackAgents> stack_;
+  std::vector<double> heap_;
 };
 
 /// Batched Martello-Toth profit evaluation for one item: a single contiguous
@@ -358,7 +381,7 @@ GapResult solve_gap(const GapProblem& problem, const GapOptions& options) {
   // copies of the same doubles, so results are bit-identical.
   std::vector<double> row_major;
   std::vector<double> assigned_cost;
-  std::vector<double> masked_column;
+  std::vector<std::int32_t> partner_of_row;
   if (options.swap_improvement) {
     row_major.resize(static_cast<std::size_t>(m) * static_cast<std::size_t>(n));
     for (std::int32_t j = 0; j < n; ++j) {
@@ -369,15 +392,16 @@ GapResult solve_gap(const GapProblem& problem, const GapOptions& options) {
       }
     }
     assigned_cost.resize(static_cast<std::size_t>(n));
-    masked_column.resize(static_cast<std::size_t>(m));
+    partner_of_row.resize(static_cast<std::size_t>(n));
   }
-  // The two improvement scans are first-improvement loops: items that do
-  // not commit have zero side effects, so "scan ascending, commit when a
-  // predicate fires" is exactly "find the first item whose predicate holds
-  // against the state frozen since the last commit, commit it, resume one
-  // past it".  That restatement is what parallelizes: chunks evaluate the
-  // pure predicate concurrently, the first hit (in index order) is taken,
-  // and every commit stays on the calling thread in the original order --
+  // Both improvement scans are first-improvement loops whose units (an
+  // item to reassign, a row j1 of the swap pass) have zero side effects
+  // unless they commit.  So "walk ascending, commit when a unit fires" is
+  // exactly "find the first unit that fires against the state frozen since
+  // the last commit, run it on the calling thread, resume one past it".
+  // That restatement is what parallelizes: chunks evaluate the pure
+  // predicate concurrently, the first hit (in index order) is taken, and
+  // every commit stays on the calling thread in the original order --
   // bit-identical to the serial pass at any thread count.
   const auto best_reassign = [&](std::int32_t j) -> std::int32_t {
     const std::int32_t from = result.agent_of_item[static_cast<std::size_t>(j)];
@@ -396,6 +420,52 @@ GapResult solve_gap(const GapProblem& problem, const GapOptions& options) {
       }
     }
     return best_to;
+  };
+  // Swap row j1 against the current state: its agent, cost and slack bound,
+  // its agent's cost row, and its cost column masked at its own agent (so a
+  // partner already on a1 gets delta +inf instead of a branch).
+  struct SwapRow {
+    std::int32_t a1;
+    double c11;
+    double limit1;
+    const double* row1;
+  };
+  const std::int32_t* agent = result.agent_of_item.data();
+  const auto load_row = [&](std::int32_t j1, double* masked) -> SwapRow {
+    const double* column1 = cost.col(j1);
+    const std::int32_t a1 = agent[j1];
+    for (std::int32_t i = 0; i < m; ++i) masked[i] = column1[i];
+    masked[a1] = kInf;
+    return {a1, column1[a1],
+            slack[static_cast<std::size_t>(a1)] +
+                problem.sizes[static_cast<std::size_t>(j1)] + kCapTolerance,
+            row_major.data() +
+                static_cast<std::size_t>(a1) * static_cast<std::size_t>(n)};
+  };
+  // First j2 in [from, n) that row j1 swaps with profitably within both
+  // capacities, or -1.  The SIMD pre-filter returns the first j2 with
+  //   masked[agent[j2]] + row1[j2] - c11 - assigned_cost[j2] < -kEps
+  // (same association as the scalar formulation, bit-identical by the
+  // util/simd.hpp contract); only those rare candidates pay the capacity
+  // checks, and a rejected one resumes the scan one past itself.
+  const auto find_partner = [&](std::int32_t j1, const double* masked,
+                                const SwapRow& row,
+                                std::int64_t from) -> std::int64_t {
+    const double s1 = problem.sizes[static_cast<std::size_t>(j1)];
+    while (from < n) {
+      const std::int64_t cand =
+          simd::swap_profit_scan(masked, agent, row.row1, assigned_cost.data(),
+                                 row.c11, -kEps, from, n);
+      if (cand < 0) return -1;
+      const double s2 = problem.sizes[static_cast<std::size_t>(cand)];
+      if (row.limit1 >= s2 &&
+          slack[static_cast<std::size_t>(agent[cand])] + s2 + kCapTolerance >=
+              s1) {
+        return cand;
+      }
+      from = cand + 1;
+    }
+    return -1;
   };
   for (int pass = 0; pass < options.improvement_passes; ++pass) {
     QBP_PROF_SCOPE("gap.improve");
@@ -423,91 +493,54 @@ GapResult solve_gap(const GapProblem& problem, const GapOptions& options) {
     }
     if (options.swap_improvement) {
       QBP_PROF_SCOPE("gap.improve_swap");
-      std::int32_t* agent = result.agent_of_item.data();
       for (std::int32_t j = 0; j < n; ++j) {
-        assigned_cost[static_cast<std::size_t>(j)] =
-            cost.col(j)[agent[j]];
+        assigned_cost[static_cast<std::size_t>(j)] = cost.col(j)[agent[j]];
       }
-      // The O(N^2) pair scan is the hottest loop of the whole solver.  The
-      // inner body below is branch-light: the profitability test runs first
-      // over four sequential/L1 streams, and only the rare candidates pay the
-      // capacity checks.  Reordering the conjunction commits the exact same
-      // swaps (the conditions are independent of evaluation order), and the
-      // delta arithmetic keeps the original association, so results are
-      // bit-identical.  The same-agent case (j2 already on a1) is masked by
-      // an infinite cost entry instead of a branch: its delta becomes +inf
-      // and never passes the test.
-      for (std::int32_t j1 = 0; j1 < n; ++j1) {
+      // Rows are the parallel unit: find the first row with any partner,
+      // recording that partner in the row's own slot, then run the row on
+      // this thread -- commit, reload, continue from one past the partner
+      // -- and resume the row search one past it.
+      MaskedColumn committing(m);
+      std::int64_t row_cursor = 0;
+      while (row_cursor < n) {
+        const std::int64_t hit_row = par::find_first(
+            n, row_cursor, kRowGrain, options.threads,
+            [&](std::int64_t begin, std::int64_t end) -> std::int64_t {
+              MaskedColumn masked(m);
+              for (std::int64_t r = begin; r < end; ++r) {
+                const auto j1 = static_cast<std::int32_t>(r);
+                const SwapRow row = load_row(j1, masked.data());
+                const std::int64_t j2 =
+                    find_partner(j1, masked.data(), row, r + 1);
+                if (j2 >= 0) {
+                  partner_of_row[static_cast<std::size_t>(j1)] =
+                      static_cast<std::int32_t>(j2);
+                  return r;
+                }
+              }
+              return -1;
+            });
+        if (hit_row < 0) break;
+        const auto j1 = static_cast<std::int32_t>(hit_row);
         const double* column1 = cost.col(j1);
         const double s1 = problem.sizes[static_cast<std::size_t>(j1)];
-        // j1's agent, cost, slack bound and cost row change only when a swap
-        // fires below; cache them across the inner scan, refresh on commit.
-        std::int32_t a1 = agent[j1];
-        double c11 = column1[a1];
-        double limit1 = slack[static_cast<std::size_t>(a1)] + s1 + kCapTolerance;
-        const double* row1 =
-            row_major.data() + static_cast<std::size_t>(a1) *
-                                   static_cast<std::size_t>(n);
-        double* masked = masked_column.data();
-        for (std::int32_t i = 0; i < m; ++i) masked[i] = column1[i];
-        masked[a1] = kInf;
-        // Same find-first restatement as the reassignment pass: the
-        // profitability + capacity predicate reads only state that is
-        // frozen between commits (masked/row1/c11/limit1 are refreshed at
-        // each commit, before the next search begins).
-        std::int64_t swap_cursor = j1 + 1;
-        while (swap_cursor < n) {
-          const std::int64_t hit = par::find_first(
-              n, swap_cursor, kSwapGrain, options.threads,
-              [&](std::int64_t begin, std::int64_t end) -> std::int64_t {
-                // Profitability pre-filter first: the SIMD scan returns the
-                // first j2 with
-                //   masked[agent[j2]] + row1[j2] - c11 - assigned_cost[j2]
-                //     < -kEps
-                // (same association as the scalar formulation, bit-identical
-                // by the util/simd.hpp contract), then the rare candidates
-                // pay the capacity checks; rejected candidates resume the
-                // scan one past themselves, exactly like the scalar
-                // `continue`.
-                std::int64_t jj = begin;
-                while (jj < end) {
-                  const std::int64_t cand = simd::swap_profit_scan(
-                      masked, agent, row1, assigned_cost.data(), c11, -kEps,
-                      jj, end);
-                  if (cand < 0) return -1;
-                  const auto j2 = static_cast<std::int32_t>(cand);
-                  const double s2 = problem.sizes[static_cast<std::size_t>(j2)];
-                  if (limit1 >= s2 &&
-                      slack[static_cast<std::size_t>(agent[j2])] + s2 +
-                              kCapTolerance >=
-                          s1) {
-                    return cand;
-                  }
-                  jj = cand + 1;
-                }
-                return -1;
-              });
-          if (hit < 0) break;
+        SwapRow row = load_row(j1, committing.data());
+        std::int64_t hit = partner_of_row[static_cast<std::size_t>(j1)];
+        while (hit >= 0) {
           const auto j2 = static_cast<std::int32_t>(hit);
           const std::int32_t a2 = agent[j2];
           const double s2 = problem.sizes[static_cast<std::size_t>(j2)];
-          const double c12 = row1[j2];  // cost(a1, j2)
-          slack[static_cast<std::size_t>(a1)] += s1 - s2;
+          slack[static_cast<std::size_t>(row.a1)] += s1 - s2;
           slack[static_cast<std::size_t>(a2)] += s2 - s1;
-          agent[j1] = a2;
-          agent[j2] = a1;
+          result.agent_of_item[static_cast<std::size_t>(j1)] = a2;
+          result.agent_of_item[static_cast<std::size_t>(j2)] = row.a1;
           assigned_cost[static_cast<std::size_t>(j1)] = column1[a2];
-          assigned_cost[static_cast<std::size_t>(j2)] = c12;
-          improved = true;
-          a1 = a2;
-          c11 = column1[a1];
-          limit1 = slack[static_cast<std::size_t>(a1)] + s1 + kCapTolerance;
-          row1 = row_major.data() + static_cast<std::size_t>(a1) *
-                                        static_cast<std::size_t>(n);
-          for (std::int32_t i = 0; i < m; ++i) masked[i] = column1[i];
-          masked[a1] = kInf;
-          swap_cursor = hit + 1;
+          assigned_cost[static_cast<std::size_t>(j2)] = row.row1[j2];
+          row = load_row(j1, committing.data());
+          hit = find_partner(j1, committing.data(), row, hit + 1);
         }
+        improved = true;
+        row_cursor = hit_row + 1;
       }
     }
     if (!improved) break;

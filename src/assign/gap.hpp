@@ -72,10 +72,12 @@ struct GapOptions {
   /// on infeasible instances).
   std::int64_t max_repair_moves = -1;  // -1 => 8 * N
   /// Threads for the candidate scans (construction best-pair batch, repair
-  /// argmin, improve/swap first-improvement searches) through the shared
-  /// util/parallel pool.  Results are bit-identical at every value: chunk
-  /// layouts are thread-count independent, reductions fold in chunk order,
-  /// and all commits stay sequential.
+  /// argmin, the reassignment first-improvement search, and the swap
+  /// pass's search for the next row that commits a swap, with rows scanned
+  /// speculatively 8 to a chunk) through the shared util/parallel pool.
+  /// Results are bit-identical at every value: chunk layouts are
+  /// thread-count independent, reductions fold in chunk order, and all
+  /// commits stay sequential.
   std::int32_t threads = 1;
 };
 

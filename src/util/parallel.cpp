@@ -82,8 +82,16 @@ std::uint64_t Pool::regions_parallel() const noexcept {
   return regions_parallel_.load(std::memory_order_relaxed);
 }
 
+std::uint64_t Pool::chunks_parallel() const noexcept {
+  return chunks_parallel_.load(std::memory_order_relaxed);
+}
+
+bool Pool::stopped(const Task& task) noexcept {
+  return task.stop != nullptr && task.stop->load(std::memory_order_relaxed);
+}
+
 void Pool::process_chunks(Task& task) {
-  for (;;) {
+  while (!stopped(task)) {
     const std::int32_t chunk =
         task.next_chunk.fetch_add(1, std::memory_order_relaxed);
     if (chunk >= task.plan.count) return;
@@ -93,7 +101,7 @@ void Pool::process_chunks(Task& task) {
 
 void Pool::run(std::int64_t n, std::int64_t grain, std::int32_t threads,
                void (*body)(void*, std::int64_t, std::int64_t, std::int32_t),
-               void* ctx) {
+               void* ctx, const std::atomic<bool>* stop) {
   QBP_CHECK(body != nullptr) << "parallel region without a body";
   const ChunkPlan plan = ChunkPlan::make(n, grain);
   if (plan.count == 0) return;
@@ -105,6 +113,7 @@ void Pool::run(std::int64_t n, std::int64_t grain, std::int32_t threads,
   // scheduling one.
   if (threads <= 1 || plan.count < kMinFanoutChunks || tl_on_worker_thread) {
     for (std::int32_t c = 0; c < plan.count; ++c) {
+      if (stop != nullptr && stop->load(std::memory_order_relaxed)) break;
       body(ctx, plan.begin(c), plan.end(c), c);
     }
     return;
@@ -114,6 +123,7 @@ void Pool::run(std::int64_t n, std::int64_t grain, std::int32_t threads,
   task.body = body;
   task.ctx = ctx;
   task.plan = plan;
+  task.stop = stop;
   {
     const sync::MutexLock lock(mu_);
     ++active_regions_;
@@ -164,6 +174,11 @@ void Pool::run(std::int64_t n, std::int64_t grain, std::int32_t threads,
     while (task.helpers_active.load(std::memory_order_relaxed) != 0) {
       task.done_cv.wait(task.done_mutex);
     }
+    // Claims past plan.count were no-ops.
+    chunks_parallel_.fetch_add(
+        static_cast<std::uint64_t>(std::min(
+            task.next_chunk.load(std::memory_order_relaxed), plan.count)),
+        std::memory_order_relaxed);
   }
   {
     const sync::MutexLock lock(mu_);
@@ -182,7 +197,8 @@ void Pool::helper_main() {
     for (Task* candidate : pending_) {
       if (candidate->helpers_joined < candidate->helpers_allowed &&
           candidate->next_chunk.load(std::memory_order_relaxed) <
-              candidate->plan.count) {
+              candidate->plan.count &&
+          !stopped(*candidate)) {
         task = candidate;
         break;
       }

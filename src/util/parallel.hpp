@@ -14,8 +14,11 @@
 //      and folds them left-to-right in chunk-index order on the calling
 //      thread.  Running with 1 thread or 64 produces the same fold.
 //   3. No atomics on results.  Atomics are used only to hand out chunks and
-//      (in find_first) to skip chunks that provably cannot contain the
-//      answer; results always travel through per-chunk slots.
+//      as the optional stop flag of Pool::run, which find_first raises on
+//      its first hit so no further chunk is handed out.  Chunks are claimed
+//      in index order, so every chunk still unclaimed at that point lies
+//      after the hit and cannot hold the answer; results always travel
+//      through per-chunk slots.
 //
 // Execution model: one process-wide pool of helper threads, grown lazily
 // and shared by every caller (portfolio starts included).  A parallel
@@ -34,7 +37,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <limits>
 #include <thread>
 #include <type_traits>
 #include <utility>
@@ -105,9 +107,11 @@ class Pool {
   /// chunk of ChunkPlan::make(n, grain), using at most `threads` threads
   /// (the caller plus claimed helpers).  Returns after every chunk ran.
   /// Chunk boundaries, and therefore results, do not depend on `threads`.
+  /// With a `stop` flag, no chunk is handed out once it reads true: the
+  /// chunks already claimed finish and the rest never run.
   void run(std::int64_t n, std::int64_t grain, std::int32_t threads,
            void (*body)(void*, std::int64_t, std::int64_t, std::int32_t),
-           void* ctx);
+           void* ctx, const std::atomic<bool>* stop = nullptr);
 
   /// Make sure at least `count` helper threads exist (bounded by
   /// kMaxHelpers).  Portfolio calls this once up front so concurrent starts
@@ -121,6 +125,8 @@ class Pool {
   /// actually fanned out to at least one helper.
   [[nodiscard]] std::uint64_t regions_run() const noexcept;
   [[nodiscard]] std::uint64_t regions_parallel() const noexcept;
+  /// Cumulative chunks claimed by the regions that fanned out.
+  [[nodiscard]] std::uint64_t chunks_parallel() const noexcept;
 
   Pool(const Pool&) = delete;
   Pool& operator=(const Pool&) = delete;
@@ -130,6 +136,7 @@ class Pool {
     void (*body)(void*, std::int64_t, std::int64_t, std::int32_t) = nullptr;
     void* ctx = nullptr;
     ChunkPlan plan;
+    const std::atomic<bool>* stop = nullptr;
     std::atomic<std::int32_t> next_chunk{0};
     /// Helpers this task may still recruit (set at submit, read under mu_).
     std::int32_t helpers_allowed = 0;
@@ -145,6 +152,7 @@ class Pool {
 
   void helper_main();
   void ensure_helpers_locked(std::int32_t count) QBP_REQUIRES(mu_);
+  static bool stopped(const Task& task) noexcept;
   static void process_chunks(Task& task);
 
   mutable sync::Mutex mu_;
@@ -159,6 +167,7 @@ class Pool {
   bool stop_ QBP_GUARDED_BY(mu_) = false;
   std::atomic<std::uint64_t> regions_run_{0};
   std::atomic<std::uint64_t> regions_parallel_{0};
+  std::atomic<std::uint64_t> chunks_parallel_{0};
 };
 
 /// Instantaneous pool utilization in [0, 1]: busy helpers / spawned
@@ -222,10 +231,12 @@ template <class T, class Map, class Combine>
 
 /// First index in [start, n) accepted by `scan`, or -1.  `scan(begin, end)`
 /// must return the smallest accepted index in [begin, end) or -1, reading
-/// only state that is frozen for the duration of the call.  Results travel
-/// through per-chunk slots; a relaxed atomic only *skips* chunks that lie
-/// entirely after an already-found index (those cannot contain the
-/// answer), so the returned index is the true first at every thread count.
+/// only state that is frozen for the duration of the call.  Only the chunks
+/// from the cursor's chunk on are dispatched, at the same absolute
+/// boundaries as ChunkPlan::make(n, grain).  The first hit raises the pool's
+/// stop flag, so chunks past it are not handed out; hits travel through
+/// per-chunk slots and the earliest one is returned, so the index is the
+/// true first at every thread count.
 template <class Scan>
 [[nodiscard]] std::int64_t find_first(std::int64_t n, std::int64_t start,
                                       std::int64_t grain, std::int32_t threads,
@@ -233,46 +244,36 @@ template <class Scan>
   if (start < 0) start = 0;
   if (start >= n) return -1;
   const ChunkPlan plan = ChunkPlan::make(n, grain);
-  // Serial when few chunks remain past the cursor: the parallel path would
-  // dispatch every chunk (pre-cursor ones no-op) only to inline them below
-  // the pool's own fan-out threshold anyway, and the serial walk stops at
-  // the first hit mid-chunk instead of finishing the chunk.
-  const std::int32_t start_chunk =
-      static_cast<std::int32_t>(start / plan.grain);
-  const bool serial = threads <= 1 ||
-                      plan.count - start_chunk < kMinFanoutChunks ||
-                      Pool::on_worker_thread();
-  if (serial) {
-    // Same chunk walk as the parallel path, stopping at the first hit --
-    // this is exactly the plain left-to-right scan.
-    for (std::int32_t c = 0; c < plan.count; ++c) {
-      const std::int64_t begin = std::max(plan.begin(c), start);
-      const std::int64_t end = plan.end(c);
-      if (begin >= end) continue;
-      const std::int64_t index = scan(begin, end);
+  const std::int32_t first = static_cast<std::int32_t>(start / plan.grain);
+  // Serial when few chunks remain past the cursor: below the pool's fan-out
+  // threshold the region would run inline anyway, and the serial walk stops
+  // at the first hit mid-chunk instead of finishing the chunk.
+  if (threads <= 1 || plan.count - first < kMinFanoutChunks ||
+      Pool::on_worker_thread()) {
+    for (std::int32_t c = first; c < plan.count; ++c) {
+      const std::int64_t index =
+          scan(std::max(plan.begin(c), start), plan.end(c));
       if (index >= 0) return index;
     }
     return -1;
   }
-  std::vector<std::int64_t> found(static_cast<std::size_t>(plan.count), -1);
-  std::atomic<std::int64_t> hint{std::numeric_limits<std::int64_t>::max()};
-  parallel_for(n, grain, threads,
-               [&](std::int64_t begin, std::int64_t end, std::int32_t chunk) {
-                 if (begin > hint.load(std::memory_order_relaxed)) return;
-                 if (begin < start) begin = start;
-                 if (begin >= end) return;
-                 const std::int64_t index = scan(begin, end);
-                 if (index < 0) return;
-                 found[static_cast<std::size_t>(chunk)] = index;
-                 std::int64_t cur = hint.load(std::memory_order_relaxed);
-                 while (index < cur && !hint.compare_exchange_weak(
-                                           cur, index, std::memory_order_relaxed)) {
-                 }
-               });
-  for (std::int32_t c = 0; c < plan.count; ++c) {
-    if (found[static_cast<std::size_t>(c)] >= 0) {
-      return found[static_cast<std::size_t>(c)];
-    }
+  // The region covers [offset, n): offset is a whole number of chunks, so
+  // its chunk k is the plan's chunk first + k.
+  const std::int64_t offset = plan.begin(first);
+  std::vector<std::int64_t> found(
+      static_cast<std::size_t>(plan.count - first), -1);
+  std::atomic<bool> stop{false};
+  auto body = [&](std::int64_t begin, std::int64_t end, std::int32_t chunk) {
+    const std::int64_t index =
+        scan(std::max(begin + offset, start), end + offset);
+    if (index < 0) return;
+    found[static_cast<std::size_t>(chunk)] = index;
+    stop.store(true, std::memory_order_relaxed);
+  };
+  Pool::instance().run(n - offset, plan.grain, threads,
+                       &detail::invoke_body<decltype(body)>, &body, &stop);
+  for (const std::int64_t index : found) {
+    if (index >= 0) return index;
   }
   return -1;
 }

@@ -230,20 +230,64 @@ TEST_P(GapQualitySweep, FeasibleWheneverBruteForceIsTight) {
 INSTANTIATE_TEST_SUITE_P(Seeds, GapQualitySweep,
                          ::testing::Range<std::uint64_t>(1, 11));
 
+/// FNV-1a over an assignment vector, for pinning answers compactly.
+std::uint64_t assignment_hash(const std::vector<std::int32_t>& agent_of_item) {
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+  for (const std::int32_t agent : agent_of_item) {
+    hash ^= static_cast<std::uint32_t>(agent);
+    hash *= 0x100000001b3ull;
+  }
+  return hash;
+}
+
+// The swap pass runs its rows speculatively in parallel and commits them in
+// order; its answers must equal those of the plain serial row-by-row pass.
+// These hashes were taken from that serial pass, which opened one scan per
+// row and committed every swap the moment it was found.  Capacities sit 2%
+// above the total size: at 15% slack the swap pass commits nothing on
+// these instances and the pin would not cover it.
+TEST(Gap, SwapPassMatchesPinnedSerialAnswers) {
+  struct Golden {
+    std::uint64_t seed;
+    std::uint64_t hash;
+  };
+  for (const Golden golden : {Golden{3u, 0xb2911de089029d4dull},
+                              Golden{17u, 0x4ea66952c7be4020ull},
+                              Golden{91u, 0xa9681a53cb1c032full}}) {
+    const auto problem = random_gap(8, 2600, 1.02, golden.seed);
+    GapOptions options;
+    options.improvement_passes = 3;
+    options.swap_improvement = true;
+    GapOptions no_swaps = options;
+    no_swaps.swap_improvement = false;
+    EXPECT_NE(assignment_hash(solve_gap(problem, no_swaps).agent_of_item),
+              golden.hash)
+        << "seed " << golden.seed << ": the swap pass commits nothing";
+    for (const std::int32_t threads : {1, 2, 4, 8}) {
+      options.threads = threads;
+      const GapResult result = solve_gap(problem, options);
+      EXPECT_EQ(assignment_hash(result.agent_of_item), golden.hash)
+          << "seed " << golden.seed << " threads " << threads << " hash 0x"
+          << std::hex << assignment_hash(result.agent_of_item);
+    }
+  }
+}
+
 // GapOptions::threads is a pure scheduling knob: the candidate scans run
 // on the shared deterministic pool, so the assignment (not just the cost)
 // must be identical at every thread count.  Instances are sized past the
 // chunk grains so the scans genuinely fan out.
 TEST(Gap, ThreadCountNeverChangesTheResult) {
   for (const std::uint64_t seed : {3u, 17u, 91u}) {
-    // Tight capacities so repair runs; 2600 items keeps even the coarse
-    // swap-pass chunking (grain 512) above the pool's fan-out threshold.
+    // Tight capacities so repair runs; 2600 items give the swap pass's row
+    // scan (8 rows a chunk) and the item scans (128 a chunk) far more
+    // chunks past any early cursor than the pool's fan-out threshold.
     const auto problem = random_gap(8, 2600, 1.15, seed);
     GapOptions base;
     base.improvement_passes = 3;
     base.swap_improvement = true;
     const GapResult reference = solve_gap(problem, base);
-    for (const std::int32_t threads : {2, 8}) {
+    for (const std::int32_t threads : {2, 4, 8}) {
       GapOptions options = base;
       options.threads = threads;
       const GapResult result = solve_gap(problem, options);

@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <thread>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -141,13 +143,18 @@ TEST(FindFirst, MatchesSerialScanIncludingStartCursor) {
   for (std::int64_t i = 0; i < n; ++i) {
     hit[static_cast<std::size_t>(i)] = rng.next_below(97) == 0 ? 1 : 0;
   }
+  hit[2960] = 1;  // one hit surely inside the last chunk [2944, 3000)
   auto scan = [&](std::int64_t begin, std::int64_t end) -> std::int64_t {
     for (std::int64_t i = begin; i < end; ++i) {
       if (hit[static_cast<std::size_t>(i)] != 0) return i;
     }
     return -1;
   };
-  for (std::int64_t start = 0; start < n; start += 131) {
+  // Cursors every 131 indices land mid-chunk; the extra ones sit in the
+  // last chunk, where the walk is serial, before and after its hit.
+  std::vector<std::int64_t> starts{2950, 2961, n - 1};
+  for (std::int64_t start = 0; start < n; start += 131) starts.push_back(start);
+  for (const std::int64_t start : starts) {
     std::int64_t serial = -1;
     for (std::int64_t i = start; i < n; ++i) {
       if (hit[static_cast<std::size_t>(i)] != 0) {
@@ -168,6 +175,57 @@ TEST(FindFirst, NoMatchReturnsMinusOne) {
   auto scan = [](std::int64_t, std::int64_t) -> std::int64_t { return -1; };
   for (const std::int32_t threads : {1, 2, 8}) {
     EXPECT_EQ(find_first(10000, 0, 64, threads, scan), -1);
+  }
+}
+
+// Once a hit is recorded no further chunk is handed out: besides the chunks
+// already in flight, each thread can claim at most one more.  Chunks without
+// the hit are slow, so without stop-on-hit every chunk past the hit would
+// be claimed and scanned.
+TEST(FindFirst, StopsHandingOutChunksAfterTheHit) {
+  const std::int64_t grain = 16;
+  const std::int64_t n = 64 * grain;
+  const std::int64_t hit = 24 * grain + 3;
+  const std::int64_t hit_chunk_end = 25 * grain;
+  for (const std::int32_t threads : {2, 8}) {
+    std::atomic<std::int32_t> scanned_after{0};
+    auto scan = [&](std::int64_t begin, std::int64_t end) -> std::int64_t {
+      if (hit >= begin && hit < end) return hit;
+      if (begin >= hit_chunk_end) scanned_after.fetch_add(1);
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      return -1;
+    };
+    EXPECT_EQ(find_first(n, 0, grain, threads, scan), hit);
+    EXPECT_LE(scanned_after.load(), 2 * threads) << "threads=" << threads;
+  }
+}
+
+// Only the chunks from the cursor's on are dispatched, so a hit in the
+// cursor's own chunk costs no claims on the chunks before it.
+TEST(FindFirst, HitInCursorChunkClaimsNoChunkBeforeTheCursor) {
+  const std::int64_t grain = 16;
+  const std::int64_t n = 64 * grain;
+  const std::int64_t start = 40 * grain + 5;
+  const std::int64_t hit = start + 5;
+  Pool& pool = Pool::instance();
+  for (const std::int32_t threads : {2, 8}) {
+    std::atomic<std::int64_t> lowest_begin{n};
+    auto scan = [&](std::int64_t begin, std::int64_t end) -> std::int64_t {
+      std::int64_t seen = lowest_begin.load();
+      while (begin < seen && !lowest_begin.compare_exchange_weak(seen, begin)) {
+      }
+      return hit >= begin && hit < end ? hit : -1;
+    };
+    const std::uint64_t regions_before = pool.regions_parallel();
+    const std::uint64_t chunks_before = pool.chunks_parallel();
+    EXPECT_EQ(find_first(n, start, grain, threads, scan), hit);
+    // The region fanned out, and claimed no more than the chunks from the
+    // cursor's on.
+    EXPECT_EQ(pool.regions_parallel() - regions_before, 1u)
+        << "threads=" << threads;
+    EXPECT_LE(pool.chunks_parallel() - chunks_before, 64u - 40u)
+        << "threads=" << threads;
+    EXPECT_EQ(lowest_begin.load(), start);
   }
 }
 
