@@ -31,7 +31,6 @@
 
 namespace {
 
-using qbp::service::JobResult;
 using qbp::service::Request;
 using qbp::service::WireMsg;
 
@@ -55,37 +54,16 @@ std::string reencode(std::uint8_t type, std::string_view payload) {
       }
       break;
     }
-    case WireMsg::kResult: {
-      JobResult result;
-      if (qbp::service::decode_result(payload, result, error)) {
-        qbp::service::encode_result_frame(result, out);
-      }
-      break;
-    }
+    case WireMsg::kResult:
     case WireMsg::kReject:
     case WireMsg::kError:
     case WireMsg::kCancelAck:
     case WireMsg::kShutdownAck:
     case WireMsg::kStatsReply: {
-      std::string id;
-      std::string text;
-      if (!qbp::service::decode_note(payload, id, text, error)) break;
-      switch (static_cast<WireMsg>(type)) {
-        case WireMsg::kReject:
-          qbp::service::encode_reject_frame(id, text, out);
-          break;
-        case WireMsg::kError:
-          qbp::service::encode_error_frame(text, out);
-          break;
-        case WireMsg::kCancelAck:
-          qbp::service::encode_cancel_ack_frame(id, text, out);
-          break;
-        case WireMsg::kShutdownAck:
-          qbp::service::encode_shutdown_ack_frame(text, out);
-          break;
-        default:
-          qbp::service::encode_stats_reply_frame(text, out);
-          break;
+      qbp::service::Reply reply;
+      if (qbp::service::decode_reply_frame(type, payload, reply, error)) {
+        qbp::service::render_reply(reply, qbp::service::Framing::kBinary,
+                                   out);
       }
       break;
     }

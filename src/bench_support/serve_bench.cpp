@@ -142,14 +142,14 @@ ServeRow run_batch(const std::string& scenario, bool binary,
   service::Server server(options);
 
   ReplyBox box;
-  const service::Server::Sink sink = [&box](const std::string& reply) {
-    box.push(reply);
-  };
+  const auto client = std::make_shared<service::Connection>(
+      [&box](const std::string& reply) { box.push(reply); },
+      binary ? service::Framing::kBinary : service::Framing::kNdjson);
   const auto dispatch = [&](const Encoded& request) {
     if (binary) {
-      server.handle_frame(request.frame_type, request.frame_payload, sink);
+      server.handle_frame(request.frame_type, request.frame_payload, client);
     } else {
-      server.handle_line(request.line, sink);
+      server.handle_line(request.line, client);
     }
   };
 

@@ -67,10 +67,6 @@ bool TcpClient::send_bytes(std::string_view bytes) {
 }
 
 bool TcpClient::read_line(std::string& out) {
-  if (fd_ < 0) {
-    error_ = "not connected";
-    return false;
-  }
   for (;;) {
     const std::size_t newline = pending_.find('\n');
     if (newline != std::string::npos) {
@@ -78,26 +74,11 @@ bool TcpClient::read_line(std::string& out) {
       pending_.erase(0, newline + 1);
       return true;
     }
-    char buffer[4096];
-    const ssize_t count = ::read(fd_, buffer, sizeof buffer);
-    if (count < 0) {
-      if (errno == EINTR) continue;
-      error_ = std::strerror(errno);
-      return false;
-    }
-    if (count == 0) {
-      error_ = "connection closed";
-      return false;
-    }
-    pending_.append(buffer, static_cast<std::size_t>(count));
+    if (!receive()) return false;
   }
 }
 
 bool TcpClient::read_frame(std::uint8_t& type, std::string& payload) {
-  if (fd_ < 0) {
-    error_ = "not connected";
-    return false;
-  }
   for (;;) {
     wire::FrameView frame;
     std::string frame_error;
@@ -113,19 +94,26 @@ bool TcpClient::read_frame(std::uint8_t& type, std::string& payload) {
       case wire::FrameStatus::kIncomplete:
         break;
     }
-    char buffer[4096];
-    const ssize_t count = ::read(fd_, buffer, sizeof buffer);
-    if (count < 0) {
-      if (errno == EINTR) continue;
-      error_ = std::strerror(errno);
-      return false;
-    }
-    if (count == 0) {
-      error_ = "connection closed";
-      return false;
-    }
-    pending_.append(buffer, static_cast<std::size_t>(count));
+    if (!receive()) return false;
   }
+}
+
+bool TcpClient::receive() {
+  if (fd_ < 0) {
+    error_ = "not connected";
+    return false;
+  }
+  char buffer[4096];
+  ssize_t count = 0;
+  do {
+    count = ::read(fd_, buffer, sizeof buffer);
+  } while (count < 0 && errno == EINTR);
+  if (count <= 0) {
+    error_ = count == 0 ? "connection closed" : std::strerror(errno);
+    return false;
+  }
+  pending_.append(buffer, static_cast<std::size_t>(count));
+  return true;
 }
 
 }  // namespace qbp::service

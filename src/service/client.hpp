@@ -39,10 +39,13 @@ class TcpClient {
 
   void close();
 
-  [[nodiscard]] bool connected() const noexcept { return fd_ >= 0; }
   [[nodiscard]] const std::string& error() const noexcept { return error_; }
 
  private:
+  /// Append the next bytes from the socket to pending_; false on EOF or
+  /// error (see error()).
+  bool receive();
+
   int fd_ = -1;
   std::string pending_;
   std::string error_;

@@ -1,8 +1,8 @@
 // One accepted partitioning job: the parsed submit request plus the
 // server-side state that travels with it through the queue and the worker
 // pool -- arrival sequence number, deadline clock, the per-job stop source
-// (fired by the deadline watchdog or a cancel request), and the response
-// sink of the connection that submitted it.
+// (fired by the deadline watchdog or a cancel request), and the connection
+// that submitted it, which its result goes back to.
 //
 // Job execution (`run_job`) is a pure function of (problem text, solver
 // spec, stop token): it parses the problem via core/problem_io, builds the
@@ -16,7 +16,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <stop_token>
 #include <string>
@@ -25,13 +24,13 @@
 
 namespace qbp::service {
 
+class Connection;  // service/server.hpp
+
 /// Why a job's stop source fired; decides the reported status.
 enum class StopCause : int { kNone = 0, kDeadline = 1, kCancel = 2 };
 
 struct Job {
   using Clock = std::chrono::steady_clock;
-  /// Receives one finished response line (no trailing newline).
-  using Sink = std::function<void(const std::string&)>;
 
   std::string id;
   std::int64_t seq = 0;       // arrival order; FIFO tie-break within priority
@@ -46,9 +45,6 @@ struct Job {
   /// Request-level cache opt-outs (protocol "cache"/"warm_start" fields).
   bool use_cache = true;
   bool warm_start = true;
-  /// The submitting connection spoke binary framing; finish_job renders
-  /// the result as a wire frame instead of an NDJSON line.
-  bool binary_respond = false;
 
   Clock::time_point submitted_at{};
   Clock::time_point deadline{Clock::time_point::max()};
@@ -57,7 +53,9 @@ struct Job {
   /// Shared with the cancel registry and the deadline watchdog.
   std::shared_ptr<std::stop_source> stop;
   std::shared_ptr<std::atomic<int>> stop_cause;  // StopCause as int
-  Sink respond;
+  /// The submitting connection; holding it keeps its fd open until the
+  /// result has been sent (service/server.hpp Connection).
+  std::shared_ptr<Connection> reply_to;
 
   void fire_stop(StopCause cause) const {
     if (stop == nullptr) return;

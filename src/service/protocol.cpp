@@ -292,19 +292,4 @@ ParseResult result_from_json(const json::Value& value, JobResult& out) {
   return {};
 }
 
-std::string format_reject(std::string_view id, std::string_view reason) {
-  json::Value value = json::Value::object();
-  value.set("type", "reject");
-  if (!id.empty()) value.set("id", id);
-  value.set("reason", reason);
-  return value.dump();
-}
-
-std::string format_error(std::string_view reason) {
-  json::Value value = json::Value::object();
-  value.set("type", "error");
-  value.set("reason", reason);
-  return value.dump();
-}
-
 }  // namespace qbp::service

@@ -169,9 +169,18 @@ struct JobResult {
 [[nodiscard]] ParseResult result_from_json(const json::Value& value,
                                            JobResult& out);
 
-/// Non-result response lines.
-[[nodiscard]] std::string format_reject(std::string_view id,
-                                        std::string_view reason);
-[[nodiscard]] std::string format_error(std::string_view reason);
+/// The two edge framings a connection speaks (docs/PROTOCOL.md).
+enum class Framing { kNdjson, kBinary };
+
+/// One server reply, independent of the framing it travels in; rendered
+/// for either framing by render_reply (service/wire.hpp).  Every member has
+/// an initializer, so designated initializers may name just the ones used.
+struct Reply {
+  enum class Kind { kResult, kReject, kError, kStats, kCancelAck, kShutdownAck };
+  Kind kind = Kind::kError;
+  std::string id{};    // kReject (may be empty) and kCancelAck
+  std::string text{};  // reason (kReject, kError), status (acks), stats JSON
+  JobResult result{};  // kResult
+};
 
 }  // namespace qbp::service

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <list>
 #include <sstream>
 #include <utility>
 
@@ -12,7 +13,7 @@
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/uio.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include "service/wire.hpp"
@@ -127,99 +128,62 @@ void Server::start() {
   }
 }
 
-void Server::emit(const Sink& sink, const std::string& line) {
-  if (!sink) return;
-  const sync::MutexLock lock(respond_mutex_);
-  sink(line);
+void Server::respond(Connection& to, const Reply& reply) {
+  std::string bytes;
+  render_reply(reply, to.framing(), bytes);
+  if (to.framing() == Framing::kBinary) {
+    wire_bytes_out_.inc(static_cast<std::int64_t>(bytes.size()));
+  }
+  to.write(std::move(bytes));
 }
 
-void Server::emit_frame(const Sink& sink, const std::string& frame) {
-  wire_bytes_out_.inc(static_cast<std::int64_t>(frame.size()));
-  emit(sink, frame);
-}
-
-void Server::handle_line(std::string_view line, const Sink& respond) {
+void Server::handle_line(std::string_view line,
+                         const std::shared_ptr<Connection>& from) {
   requests_total_.inc();
   Request request;
   if (const auto parsed = parse_request(line, request); !parsed.ok) {
     requests_malformed_.inc();
-    emit(respond, format_error(parsed.message));
+    respond(*from, {.kind = Reply::Kind::kError, .text = parsed.message});
     return;
   }
-  switch (request.type) {
-    case RequestType::kSubmit:
-      handle_submit(std::move(request), respond, /*binary=*/false);
-      return;
-    case RequestType::kCancel:
-      handle_cancel(request, respond, /*binary=*/false);
-      return;
-    case RequestType::kStats:
-      emit(respond, stats_json().dump());
-      return;
-    case RequestType::kShutdown: {
-      shutdown_.store(true);
-      json::Value ack = json::Value::object();
-      ack.set("type", "shutdown");
-      ack.set("status", "draining");
-      emit(respond, ack.dump());
-      return;
-    }
-  }
+  dispatch(std::move(request), from);
 }
 
 void Server::handle_frame(std::uint8_t type, std::string_view payload,
-                          const Sink& respond) {
+                          const std::shared_ptr<Connection>& from) {
   requests_total_.inc();
   wire_frames_.inc();
   wire_bytes_in_.inc(
       static_cast<std::int64_t>(payload.size() + wire::kHeaderSize));
-  const auto malformed = [&](const std::string& reason) {
+  const Timer decode_timer;
+  Request request;
+  std::string error;
+  if (!decode_request(type, payload, request, error)) {
     requests_malformed_.inc();
-    std::string frame;
-    encode_error_frame(reason, frame);
-    emit_frame(respond, frame);
-  };
-  switch (static_cast<WireMsg>(type)) {
-    case WireMsg::kSubmit: {
-      const Timer decode_timer;
-      Request request;
-      std::string error;
-      if (!decode_submit(payload, request, error)) {
-        malformed(error);
-        return;
-      }
-      wire_decode_seconds_.observe(decode_timer.seconds());
-      handle_submit(std::move(request), respond, /*binary=*/true);
+    respond(*from, {.kind = Reply::Kind::kError, .text = error});
+    return;
+  }
+  if (request.type == RequestType::kSubmit) {
+    wire_decode_seconds_.observe(decode_timer.seconds());
+  }
+  dispatch(std::move(request), from);
+}
+
+void Server::dispatch(Request request, const std::shared_ptr<Connection>& from) {
+  switch (request.type) {
+    case RequestType::kSubmit:
+      handle_submit(std::move(request), from);
       return;
-    }
-    case WireMsg::kCancel: {
-      Request request;
-      std::string error;
-      if (!decode_cancel(payload, request, error)) {
-        malformed(error);
-        return;
-      }
-      handle_cancel(request, respond, /*binary=*/true);
+    case RequestType::kCancel:
+      handle_cancel(request, *from);
       return;
-    }
-    case WireMsg::kStats: {
-      // The stats snapshot stays a JSON document inside a frame: it is a
-      // cold debug surface, and one schema for both framings keeps every
-      // dashboard working (docs/PROTOCOL.md).
-      std::string frame;
-      encode_stats_reply_frame(stats_json().dump(), frame);
-      emit_frame(respond, frame);
+    case RequestType::kStats:
+      respond(*from, {.kind = Reply::Kind::kStats, .text = stats_json().dump()});
       return;
-    }
-    case WireMsg::kShutdown: {
+    case RequestType::kShutdown:
       shutdown_.store(true);
-      std::string frame;
-      encode_shutdown_ack_frame("draining", frame);
-      emit_frame(respond, frame);
+      respond(*from, {.kind = Reply::Kind::kShutdownAck, .text = "draining"});
       return;
-    }
-    default:
-      malformed("unknown frame type " + std::to_string(type));
   }
 }
 
@@ -248,16 +212,11 @@ std::int32_t Server::clamp_inner_threads(const SolverSpec& spec) const {
   return requested;
 }
 
-void Server::handle_submit(Request request, const Sink& respond, bool binary) {
+void Server::handle_submit(Request request,
+                           const std::shared_ptr<Connection>& from) {
   const auto reject = [&](const std::string& id, const std::string& reason) {
     jobs_rejected_.inc();
-    if (binary) {
-      std::string frame;
-      encode_reject_frame(id, reason, frame);
-      emit_frame(respond, frame);
-    } else {
-      emit(respond, format_reject(id, reason));
-    }
+    respond(*from, {.kind = Reply::Kind::kReject, .id = id, .text = reason});
   };
 
   if (!request.problem_file.empty() &&
@@ -277,7 +236,6 @@ void Server::handle_submit(Request request, const Sink& respond, bool binary) {
   job.warm_start = request.warm_start;
   job.problem_text = std::move(request.problem_text);
   job.problem = std::move(request.problem);
-  job.binary_respond = binary;
   job.submitted_at = Job::Clock::now();
   if (request.deadline_ms > 0.0) {
     job.has_deadline = true;
@@ -289,19 +247,22 @@ void Server::handle_submit(Request request, const Sink& respond, bool binary) {
   job.stop = std::make_shared<std::stop_source>();
   job.stop_cause =
       std::make_shared<std::atomic<int>>(static_cast<int>(StopCause::kNone));
-  job.respond = respond;
+  job.reply_to = from;
 
+  bool duplicate = false;
   {
     const sync::MutexLock lock(active_mutex_);
     job.seq = next_seq_++;
     job.id = request.id.empty() ? "job-" + std::to_string(job.seq)
                                 : std::move(request.id);
-    if (active_.count(job.id) != 0) {
-      reject(job.id, "duplicate id: a job with this id is still queued or "
-                     "running");
-      return;
-    }
-    active_.emplace(job.id, ActiveJob{job.stop, job.stop_cause});
+    duplicate = !active_.emplace(job.id, ActiveJob{job.stop, job.stop_cause})
+                     .second;
+  }
+  if (duplicate) {
+    // Answered outside active_mutex_: a slow client must not hold it.
+    reject(job.id, "duplicate id: a job with this id is still queued or "
+                   "running");
+    return;
   }
 
   const std::string id = job.id;
@@ -310,26 +271,17 @@ void Server::handle_submit(Request request, const Sink& respond, bool binary) {
   const std::weak_ptr<std::stop_source> weak_stop = job.stop;
   const std::weak_ptr<std::atomic<int>> weak_cause = job.stop_cause;
 
-  switch (queue_.push(std::move(job))) {
-    case JobQueue::PushOutcome::kAccepted:
-      break;
-    case JobQueue::PushOutcome::kFull: {
-      {
-        const sync::MutexLock lock(active_mutex_);
-        active_.erase(id);
-      }
-      reject(id, "queue full (capacity " + std::to_string(queue_.capacity()) +
-                     ")");
-      return;
+  const JobQueue::PushOutcome outcome = queue_.push(std::move(job));
+  if (outcome != JobQueue::PushOutcome::kAccepted) {
+    {
+      const sync::MutexLock lock(active_mutex_);
+      active_.erase(id);
     }
-    case JobQueue::PushOutcome::kClosed: {
-      {
-        const sync::MutexLock lock(active_mutex_);
-        active_.erase(id);
-      }
-      reject(id, "server draining");
-      return;
-    }
+    reject(id, outcome == JobQueue::PushOutcome::kFull
+                   ? "queue full (capacity " +
+                         std::to_string(queue_.capacity()) + ")"
+                   : "server draining");
+    return;
   }
 
   jobs_submitted_.inc();
@@ -348,9 +300,8 @@ void Server::handle_submit(Request request, const Sink& respond, bool binary) {
   log::info("job ", id, ": accepted (queue depth ", queue_.size(), ")");
 }
 
-void Server::handle_cancel(const Request& request, const Sink& respond,
-                           bool binary) {
-  // Still queued: remove it and answer on the job's own sink.
+void Server::handle_cancel(const Request& request, Connection& from) {
+  // Still queued: remove it and answer on the job's own connection.
   Job job;
   if (queue_.cancel(request.id, job)) {
     queue_depth_.set(static_cast<std::int64_t>(queue_.size()));
@@ -360,10 +311,11 @@ void Server::handle_cancel(const Request& request, const Sink& respond,
     result.queue_wait_s =
         std::chrono::duration<double>(Job::Clock::now() - job.submitted_at)
             .count();
-    finish_job(job, std::move(result));
+    finish_job(std::move(job), std::move(result));
     return;
   }
   // Running: fire the stop source; the worker reports the final status.
+  bool signalled = false;
   {
     const sync::MutexLock lock(active_mutex_);
     const auto found = active_.find(request.id);
@@ -372,27 +324,15 @@ void Server::handle_cancel(const Request& request, const Sink& respond,
       found->second.cause->compare_exchange_strong(
           expected, static_cast<int>(StopCause::kCancel));
       found->second.stop->request_stop();
-      if (binary) {
-        std::string frame;
-        encode_cancel_ack_frame(request.id, "signalled", frame);
-        emit_frame(respond, frame);
-      } else {
-        json::Value ack = json::Value::object();
-        ack.set("type", "cancel");
-        ack.set("id", request.id);
-        ack.set("status", "signalled");
-        emit(respond, ack.dump());
-      }
-      return;
+      signalled = true;
     }
   }
-  if (binary) {
-    std::string frame;
-    encode_reject_frame(request.id, "unknown job id", frame);
-    emit_frame(respond, frame);
-  } else {
-    emit(respond, format_reject(request.id, "unknown job id"));
-  }
+  respond(from, signalled ? Reply{.kind = Reply::Kind::kCancelAck,
+                                   .id = request.id,
+                                   .text = "signalled"}
+                          : Reply{.kind = Reply::Kind::kReject,
+                                  .id = request.id,
+                                  .text = "unknown job id"});
 }
 
 void Server::worker_loop(std::int32_t worker_index) {
@@ -436,14 +376,14 @@ void Server::worker_loop(std::int32_t worker_index) {
       result = run_job(job, &cache_);
     }
     result.queue_wait_s = queue_wait;
-    finish_job(job, std::move(result));
+    finish_job(std::move(job), std::move(result));
 
     workers_busy_.add(-1);
     log::set_thread_prefix({});
   }
 }
 
-void Server::finish_job(const Job& job, JobResult result) {
+void Server::finish_job(Job job, JobResult result) {
   jobs_completed_.inc();
   if (result.status == "ok") {
     jobs_ok_.inc();
@@ -475,16 +415,8 @@ void Server::finish_job(const Job& job, JobResult result) {
     const sync::MutexLock lock(active_mutex_);
     active_.erase(job.id);
   }
-  // Render in the framing the submitting connection spoke; either way the
-  // sink receives one complete response to write verbatim (plus newline
-  // for NDJSON, added by the connection's sink).
-  if (job.binary_respond) {
-    std::string frame;
-    encode_result_frame(result, frame);
-    emit_frame(job.respond, frame);
-  } else {
-    emit(job.respond, result_to_json(result).dump());
-  }
+  respond(*job.reply_to,
+          {.kind = Reply::Kind::kResult, .result = std::move(result)});
 }
 
 void Server::watchdog_loop() {
@@ -558,7 +490,6 @@ json::Value Server::stats_json() {
 }
 
 void Server::begin_drain() {
-  draining_.store(true);
   queue_.close();
 }
 
@@ -573,172 +504,149 @@ void Server::drain() {
 
 // ------------------------------------------------------------- serve loops
 
-namespace {
+Connection::Connection(Sink sink, Framing framing)
+    : sink_(std::move(sink)), framing_(framing) {}
 
-/// Write `message` (plus a trailing newline for NDJSON framing) with one
-/// vectored call per attempt -- no per-response concatenation copy.
-/// `use_send` routes through sendmsg(MSG_NOSIGNAL) so a vanished TCP
-/// client cannot SIGPIPE the daemon.
-void write_response(int fd, std::string_view message, bool append_newline,
-                    bool use_send) {
-  char newline = '\n';
-  const std::size_t total = message.size() + (append_newline ? 1 : 0);
-  std::size_t sent = 0;
-  while (sent < total) {
-    iovec iov[2];
-    int count = 0;
-    if (sent < message.size()) {
-      iov[count].iov_base = const_cast<char*>(message.data()) + sent;
-      iov[count].iov_len = message.size() - sent;
-      ++count;
-    }
-    if (append_newline) {
-      iov[count].iov_base = &newline;
-      iov[count].iov_len = 1;
-      ++count;
-    }
-    ssize_t written = 0;
-    if (use_send) {
-      msghdr header{};
-      header.msg_iov = iov;
-      header.msg_iovlen = static_cast<std::size_t>(count);
-      written = ::sendmsg(fd, &header, MSG_NOSIGNAL);
-    } else {
-      written = ::writev(fd, iov, count);
-    }
-    if (written < 0) {
-      if (errno == EINTR) continue;
-      return;  // client went away; results are dropped, not fatal
-    }
-    sent += static_cast<std::size_t>(written);
+Connection::Connection(int fd, bool owns_fd, WireMode mode)
+    : fd_(fd),
+      owns_fd_(owns_fd),
+      socket_([fd] {
+        struct stat info {};
+        return ::fstat(fd, &info) == 0 && S_ISSOCK(info.st_mode);
+      }()),
+      framing_(mode == WireMode::kBinary ? Framing::kBinary : Framing::kNdjson),
+      sniff_(mode == WireMode::kAuto) {}
+
+Connection::~Connection() {
+  if (owns_fd_) ::close(fd_);
+}
+
+void Connection::write(std::string bytes) {
+  if (!sink_ && framing_ == Framing::kNdjson) bytes += '\n';
+  const sync::MutexLock lock(write_mutex_);
+  if (broken_.load()) return;
+  if (sink_) {
+    sink_(bytes);
+  } else if (!write_fd(bytes)) {
+    broken_.store(true);  // the client went away or stopped reading
   }
 }
 
-/// Split buffered bytes into lines and dispatch each; returns false when a
-/// shutdown request was seen.
-bool dispatch_lines(Server& server, std::string& pending,
-                    const Server::Sink& sink) {
-  std::size_t newline = 0;
-  while ((newline = pending.find('\n')) != std::string::npos) {
-    const std::string line = pending.substr(0, newline);
-    pending.erase(0, newline + 1);
-    if (!trim(line).empty()) server.handle_line(line, sink);
-    if (server.shutdown_requested()) return false;
+/// Sockets are written with MSG_DONTWAIT, waiting at most kSendTimeout for
+/// room, and MSG_NOSIGNAL, so a vanished client cannot SIGPIPE the daemon.
+/// False means the reply could not be delivered.
+bool Connection::write_fd(std::string_view bytes) {
+  while (!bytes.empty()) {
+    const ssize_t written =
+        socket_ ? ::send(fd_, bytes.data(), bytes.size(),
+                         MSG_NOSIGNAL | MSG_DONTWAIT)
+                : ::write(fd_, bytes.data(), bytes.size());
+    if (written >= 0) {
+      bytes.remove_prefix(static_cast<std::size_t>(written));
+      continue;
+    }
+    if (errno == EINTR) continue;
+    pollfd room{fd_, POLLOUT, 0};
+    if ((errno != EAGAIN && errno != EWOULDBLOCK) ||
+        ::poll(&room, 1, static_cast<int>(kSendTimeout.count())) <= 0) {
+      return false;
+    }
   }
   return true;
 }
 
-/// Per-connection framing state: the auto-detect decision, the NDJSON line
-/// buffer, and the binary receive arena.  Shared (via shared_ptr) between
-/// the connection's read loop and its response sink, because accepted jobs
-/// keep the sink alive after the read loop exits.
-class WireConnection {
- public:
-  WireConnection(Server& server, WireMode mode) : server_(server) {
-    if (mode == WireMode::kNdjson) framing_ = Framing::kNdjson;
-    if (mode == WireMode::kBinary) framing_ = Framing::kBinary;
-  }
+bool Connection::stopped(const Server& server) const {
+  return server.shutdown_requested() || broken_.load();
+}
 
-  /// Buffer `size` freshly read bytes and dispatch every complete message.
-  /// Returns false when this connection should stop reading: shutdown
-  /// request, or a malformed frame (answered with one error frame --
-  /// failing the connection, never the daemon).
-  bool feed(const char* data, std::size_t size, const Server::Sink& sink) {
-    if (framing_ == Framing::kUnknown && size > 0) {
-      // First byte decides: the frame magic opens with a byte that can
-      // never start an NDJSON line, so the sniff is unambiguous.  The
-      // decision is made before any request is dispatched, so sinks read
-      // a settled value (the queue hand-off orders it for workers).
-      framing_ = static_cast<unsigned char>(data[0]) == wire::kMagic[0]
-                     ? Framing::kBinary
-                     : Framing::kNdjson;
-    }
-    if (framing_ == Framing::kBinary) {
-      frames_.append(data, size);
-      return drain_frames(sink);
-    }
-    pending_.append(data, size);
-    return dispatch_lines(server_, pending_, sink);
-  }
-
-  /// EOF: a final NDJSON line without a trailing newline still counts.  A
-  /// truncated binary frame is dropped silently, like a partial line from
-  /// a client that never finished writing it.
-  void finish(const Server::Sink& sink) {
-    if (framing_ != Framing::kBinary && !failed_ &&
-        !server_.shutdown_requested() && !trim(pending_).empty()) {
-      server_.handle_line(pending_, sink);
-    }
-  }
-
-  [[nodiscard]] bool is_binary() const {
-    return framing_ == Framing::kBinary;
-  }
-
- private:
-  enum class Framing { kUnknown, kNdjson, kBinary };
-
-  bool drain_frames(const Server::Sink& sink) {
-    for (;;) {
-      wire::FrameView frame;
-      std::string error;
-      switch (frames_.next(frame, error)) {
-        case wire::FrameStatus::kIncomplete:
-          return true;
-        case wire::FrameStatus::kBad: {
-          std::string reply;
-          encode_error_frame(error, reply);
-          sink(reply);
-          failed_ = true;
-          return false;
-        }
-        case wire::FrameStatus::kFrame: {
-          server_.handle_frame(frame.type, frame.payload, sink);
-          frames_.consume(frame.frame_size);
-          if (server_.shutdown_requested()) return false;
-          break;
-        }
-      }
-    }
-  }
-
-  Server& server_;
-  Framing framing_ = Framing::kUnknown;
-  std::string pending_;      // NDJSON line accumulator
-  wire::FrameBuffer frames_; // binary receive arena, reused across requests
-  bool failed_ = false;
-};
-
-}  // namespace
-
-int serve_fd(Server& server, int in_fd, int out_fd, int wake_fd,
-             WireMode mode) {
-  const auto conn = std::make_shared<WireConnection>(server, mode);
-  const Server::Sink sink = [out_fd, conn](const std::string& message) {
-    write_response(out_fd, message, /*append_newline=*/!conn->is_binary(),
-                   /*use_send=*/false);
-  };
-
-  bool interrupted = false;
-  for (;;) {
+void Connection::read_requests(Server& server, int in_fd, int wake_fd) {
+  // The poll timeout bounds how long a reader takes to notice a shutdown
+  // requested on another connection.
+  constexpr int kPollMs = 200;
+  while (!stopped(server)) {
     pollfd fds[2] = {{in_fd, POLLIN, 0}, {wake_fd, POLLIN, 0}};
-    const int watched = wake_fd >= 0 ? 2 : 1;
-    const int ready = ::poll(fds, static_cast<nfds_t>(watched), -1);
+    const int ready =
+        ::poll(fds, static_cast<nfds_t>(wake_fd >= 0 ? 2 : 1), kPollMs);
     if (ready < 0) {
       if (errno == EINTR) continue;
-      break;
+      return;
     }
-    if (wake_fd >= 0 && fds[1].revents != 0) {
-      interrupted = true;
-      break;
-    }
+    if (wake_fd >= 0 && fds[1].revents != 0) return;
     if (fds[0].revents == 0) continue;
     char buffer[4096];
     const ssize_t count = ::read(in_fd, buffer, sizeof buffer);
-    if (count <= 0) break;  // EOF or read error: drain and exit
-    if (!conn->feed(buffer, static_cast<std::size_t>(count), sink)) break;
+    if (count < 0 && errno == EINTR) continue;
+    if (count <= 0) break;
+    if (sniff_) {
+      // First byte decides: the frame magic opens with a byte that can
+      // never start an NDJSON line, so the sniff is unambiguous.
+      sniff_ = false;
+      framing_ = static_cast<unsigned char>(buffer[0]) == wire::kMagic[0]
+                     ? Framing::kBinary
+                     : Framing::kNdjson;
+    }
+    const auto size = static_cast<std::size_t>(count);
+    if (framing_ == Framing::kBinary ? !dispatch_frames(server, buffer, size)
+                                     : !dispatch_lines(server, buffer, size)) {
+      return;
+    }
   }
-  if (!interrupted) conn->finish(sink);
+  // EOF (or a read error): a final NDJSON line without its newline still
+  // counts.  A truncated binary frame is dropped silently, like a partial
+  // line from a client that never finished writing it.
+  if (framing_ == Framing::kNdjson && !stopped(server) &&
+      !trim(pending_).empty()) {
+    server.handle_line(pending_, shared_from_this());
+  }
+}
+
+bool Connection::dispatch_lines(Server& server, const char* data,
+                                std::size_t size) {
+  // Dispatch in place and erase the consumed prefix once, so a burst of
+  // pipelined lines costs linear time.
+  pending_.append(data, size);
+  std::size_t start = 0;
+  std::size_t newline = 0;
+  bool more = true;
+  while (more && (newline = pending_.find('\n', start)) != std::string::npos) {
+    const std::string_view line(pending_.data() + start, newline - start);
+    start = newline + 1;
+    if (!trim(line).empty()) server.handle_line(line, shared_from_this());
+    more = !stopped(server);
+  }
+  pending_.erase(0, start);
+  return more;
+}
+
+bool Connection::dispatch_frames(Server& server, const char* data,
+                                 std::size_t size) {
+  frames_.append(data, size);
+  for (;;) {
+    wire::FrameView frame;
+    std::string error;
+    switch (frames_.next(frame, error)) {
+      case wire::FrameStatus::kIncomplete:
+        return true;
+      case wire::FrameStatus::kBad: {
+        std::string reply;
+        render_reply({.kind = Reply::Kind::kError, .text = error},
+                     Framing::kBinary, reply);
+        write(std::move(reply));
+        return false;
+      }
+      case wire::FrameStatus::kFrame:
+        server.handle_frame(frame.type, frame.payload, shared_from_this());
+        frames_.consume(frame.frame_size);
+        if (stopped(server)) return false;
+        break;
+    }
+  }
+}
+
+int serve_fd(Server& server, int in_fd, int out_fd, int wake_fd,
+             WireMode mode) {
+  std::make_shared<Connection>(out_fd, /*owns_fd=*/false, mode)
+      ->read_requests(server, in_fd, wake_fd);
   server.drain();
   return 0;
 }
@@ -773,31 +681,20 @@ int serve_tcp(Server& server, std::uint16_t port, int wake_fd, WireMode mode,
                static_cast<unsigned>(ntohs(address.sin_port)));
   std::fflush(stderr);
 
-  std::atomic<bool> closing{false};
-  // Connection readers block on poll(2); they cannot ride the work pool.
-  std::vector<std::thread> connections;  // qbp-lint: allow(raw-thread)
-  sync::Mutex connections_mutex;
-
-  const auto connection_loop = [&server, &closing, mode](int conn_fd) {
-    // shared_ptr: accepted jobs copy the sink, which may outlive this
-    // reader thread; the connection's framing state must survive with it.
-    const auto conn = std::make_shared<WireConnection>(server, mode);
-    const Server::Sink sink = [conn_fd, conn](const std::string& message) {
-      write_response(conn_fd, message,
-                     /*append_newline=*/!conn->is_binary(),
-                     /*use_send=*/true);
-    };
-    while (!closing.load()) {
-      pollfd pfd{conn_fd, POLLIN, 0};
-      const int ready = ::poll(&pfd, 1, 200);
-      if (ready < 0 && errno != EINTR) break;
-      if (ready <= 0 || pfd.revents == 0) continue;
-      char buffer[4096];
-      const ssize_t count = ::read(conn_fd, buffer, sizeof buffer);
-      if (count <= 0) break;  // TCP: a line needs its newline, as before
-      if (!conn->feed(buffer, static_cast<std::size_t>(count), sink)) break;
-    }
-    ::close(conn_fd);
+  // Reader threads block on poll(2); they cannot ride the work pool.  Each
+  // is joined as soon as it has exited, so finished connections do not
+  // keep their stacks mapped until shutdown.
+  struct Reader {
+    std::thread thread;  // qbp-lint: allow(raw-thread)
+    std::atomic<bool> done{false};
+  };
+  std::list<Reader> readers;
+  const auto reap = [&readers](bool all) {
+    readers.remove_if([all](Reader& reader) {
+      if (!all && !reader.done.load()) return false;
+      reader.thread.join();
+      return true;
+    });
   };
 
   for (;;) {
@@ -808,21 +705,23 @@ int serve_tcp(Server& server, std::uint16_t port, int wake_fd, WireMode mode,
       if (errno == EINTR) continue;
       break;
     }
+    reap(/*all=*/false);
     if (server.shutdown_requested()) break;
     if (wake_fd >= 0 && fds[1].revents != 0) break;
     if (fds[0].revents == 0) continue;
     const int conn_fd = ::accept(listen_fd, nullptr, nullptr);
     if (conn_fd < 0) continue;
-    const sync::MutexLock lock(connections_mutex);
-    connections.emplace_back(connection_loop, conn_fd);
+    Reader& reader = readers.emplace_back();
+    reader.thread = std::thread(  // qbp-lint: allow(raw-thread)
+        [&server, &reader, conn_fd, wake_fd, mode] {
+          std::make_shared<Connection>(conn_fd, /*owns_fd=*/true, mode)
+              ->read_requests(server, conn_fd, wake_fd);
+          reader.done.store(true);
+        });
   }
 
-  closing.store(true);
   ::close(listen_fd);
-  {
-    const sync::MutexLock lock(connections_mutex);
-    for (auto& connection : connections) connection.join();
-  }
+  reap(/*all=*/true);
   server.drain();
   return 0;
 }

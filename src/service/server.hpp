@@ -1,14 +1,14 @@
 // qbpartd's core: a long-running job server over the NDJSON protocol,
-// with an optional binary framing on the same connections (handle_frame /
-// WireMode; layouts in docs/PROTOCOL.md).
+// with an optional binary framing on the same connections (WireMode;
+// layouts in docs/PROTOCOL.md).
 //
-// Architecture (one Server instance, any number of client connections):
+// Architecture (one Server instance, any number of client Connections):
 //
-//   reader(s) --> handle_line --> bounded JobQueue --> worker pool
-//                     |                                   |
-//                     |  immediate responses              |  result lines
-//                     v  (reject/stats/errors)            v
-//                 response sink  <-------------------- respond()
+//   Connection --> handle_line  --> dispatch --> bounded JobQueue --> workers
+//   (reader)       handle_frame        |                                 |
+//                  (decode only)       |  immediate replies              |  results
+//                                      v  (reject/stats/errors)          v
+//                        the requesting Connection  <------------  finish_job
 //
 //   + deadline watchdog: one thread holding a min-heap of job deadlines;
 //     fires the job's stop source (StopCause::kDeadline) whether the job is
@@ -17,10 +17,12 @@
 //   + metrics: every lifecycle edge increments the registry; a `stats`
 //     request (and an optional periodic stderr line) renders the snapshot.
 //
-// Responses are serialized through one internal mutex, so sinks need no
-// locking of their own and lines never interleave.  Each job remembers the
-// sink of the connection that submitted it: in TCP mode results route back
-// to the right client, in pipe mode everything shares the stdout sink.
+// Replies are typed values (Reply) that render_reply (service/wire.hpp)
+// renders in the connection's framing; each Connection writes them under
+// its own lock, so a client that stops reading stalls only itself.  A sink
+// shared by several connections must be thread-safe.  Each job holds the
+// Connection that submitted it: a result goes only to that client, and a
+// socket closes only once its reader has exited and its last job answered.
 //
 // Lifecycle: construct -> (start() if not auto) -> handle_line()* ->
 // begin_drain() -> drain().  begin_drain closes the queue (new submits are
@@ -47,6 +49,7 @@
 #include "service/queue.hpp"
 #include "util/annotations.hpp"
 #include "util/check.hpp"
+#include "util/wire.hpp"
 
 namespace qbp::service {
 
@@ -88,10 +91,70 @@ struct ServerOptions {
   check::FailMode fail_mode = check::FailMode::kThrow;
 };
 
+class Server;
+
+/// A reply write that makes no progress for this long marks its connection
+/// broken: later replies to it are dropped and its reader stops.
+inline constexpr std::chrono::milliseconds kSendTimeout{5000};
+
+/// One client of the server: where its replies go, in which framing, and
+/// (in the serve loops) the receive side of its byte stream.  Create it
+/// with std::make_shared: its reader and every job it submitted share it,
+/// so an owned fd closes only when none of them can still use it.
+class Connection : public std::enable_shared_from_this<Connection> {
+ public:
+  /// Receives one rendered reply: an NDJSON line without its newline, or
+  /// one complete wire frame.
+  using Sink = std::function<void(const std::string&)>;
+
+  /// An in-process client (tests, the serve bench): every reply, rendered
+  /// in `framing`, is handed to `sink`.
+  Connection(Sink sink, Framing framing);
+  /// A serve-loop client: replies are written to `fd`, NDJSON lines with
+  /// their newline or raw frames, in the framing `mode` pins or the first
+  /// received byte selects.  With `owns_fd` the destructor closes `fd`.
+  Connection(int fd, bool owns_fd, WireMode mode);
+  ~Connection();
+
+  Connection(const Connection&) = delete;
+  Connection& operator=(const Connection&) = delete;
+
+  [[nodiscard]] Framing framing() const noexcept { return framing_; }
+
+  /// Deliver one rendered reply.  Thread-safe; dropped once broken.
+  void write(std::string bytes);
+
+  /// The serve loops' read side: read `in_fd` and dispatch each request on
+  /// `server` until EOF, a read error, a malformed frame (answered with one
+  /// error frame), a broken connection, a shutdown request from any client,
+  /// or a byte on `wake_fd` (-1 for none).  At EOF a final NDJSON line
+  /// without its newline still counts.
+  void read_requests(Server& server, int in_fd, int wake_fd);
+
+ private:
+  /// Buffer freshly read bytes and dispatch every complete request; false
+  /// when this connection should stop reading.
+  bool dispatch_lines(Server& server, const char* data, std::size_t size);
+  bool dispatch_frames(Server& server, const char* data, std::size_t size);
+  [[nodiscard]] bool stopped(const Server& server) const;
+  [[nodiscard]] bool write_fd(std::string_view bytes);
+
+  const Sink sink_;
+  const int fd_ = -1;
+  const bool owns_fd_ = false;
+  const bool socket_ = false;
+  // Set before the first request is dispatched and read by workers after
+  // the queue hand-off, so it needs no lock.
+  Framing framing_ = Framing::kNdjson;
+  bool sniff_ = false;        // framing_ still waits for the first byte
+  std::string pending_;       // NDJSON receive buffer
+  wire::FrameBuffer frames_;  // binary receive arena, reused across requests
+  sync::Mutex write_mutex_;
+  std::atomic<bool> broken_{false};
+};
+
 class Server {
  public:
-  using Sink = Job::Sink;
-
   explicit Server(ServerOptions options);
   ~Server();
 
@@ -101,19 +164,17 @@ class Server {
   /// Launch the worker pool (idempotent).
   void start();
 
-  /// Dispatch one protocol line; immediate responses (reject, stats, parse
-  /// errors, shutdown acknowledgement) are delivered to `respond` before
-  /// returning, job results arrive on it later from a worker thread.  The
-  /// sink is copied into accepted jobs and must stay callable until drain()
-  /// returns.  Thread-safe.
-  void handle_line(std::string_view line, const Sink& respond);
+  /// Decode one protocol line and dispatch it.  Immediate replies (reject,
+  /// stats, parse errors, shutdown acknowledgement) reach `from` before
+  /// returning; a job's result arrives on it later from a worker thread.
+  /// Thread-safe.
+  void handle_line(std::string_view line,
+                   const std::shared_ptr<Connection>& from);
 
-  /// Dispatch one binary frame (already split from the byte stream by
-  /// util/wire FrameBuffer).  The same contract as handle_line, except
-  /// every response delivered to `respond` is a complete binary frame and
-  /// the sink must write it verbatim (no newline framing).  Thread-safe.
+  /// Decode one binary frame (already split from the byte stream by
+  /// util/wire FrameBuffer) and dispatch it; otherwise as handle_line.
   void handle_frame(std::uint8_t type, std::string_view payload,
-                    const Sink& respond);
+                    const std::shared_ptr<Connection>& from);
 
   /// Stop accepting submits; queued and running jobs keep going.
   void begin_drain();
@@ -144,20 +205,22 @@ class Server {
     std::weak_ptr<std::atomic<int>> cause;
   };
 
-  /// `binary` selects the rendering of immediate responses (NDJSON line vs
-  /// wire frame) and is stamped into the job for its eventual result.
-  void handle_submit(Request request, const Sink& respond, bool binary);
+  /// The one request dispatcher behind both framings.
+  void dispatch(Request request, const std::shared_ptr<Connection>& from);
+  void handle_submit(Request request, const std::shared_ptr<Connection>& from);
   /// Resolve and clamp a spec's inner_threads against the combined budget
   /// (workers x starts x inner <= thread_limit); logs when it clamps.
   [[nodiscard]] std::int32_t clamp_inner_threads(const SolverSpec& spec) const;
-  void handle_cancel(const Request& request, const Sink& respond, bool binary);
+  void handle_cancel(const Request& request, Connection& from);
   void worker_loop(std::int32_t worker_index);
-  void finish_job(const Job& job, JobResult result);
+  /// Count the finished job and answer its connection; consumes the job,
+  /// releasing its hold on the connection.
+  void finish_job(Job job, JobResult result);
   void watchdog_loop();
   void stats_loop();
-  void emit(const Sink& sink, const std::string& line);
-  /// emit() plus the wire.bytes_out accounting for binary responses.
-  void emit_frame(const Sink& sink, const std::string& frame);
+  /// Render `reply` in `to`'s framing and write it (plus the
+  /// wire.bytes_out accounting for binary replies).
+  void respond(Connection& to, const Reply& reply);
 
   ServerOptions options_;
   MetricsRegistry metrics_;
@@ -165,7 +228,6 @@ class Server {
   SolutionCache cache_;
   std::chrono::steady_clock::time_point started_at_;
 
-  sync::Mutex respond_mutex_;  // serializes every response line
   sync::Mutex active_mutex_;
   std::unordered_map<std::string, ActiveJob> active_
       QBP_GUARDED_BY(active_mutex_);
@@ -188,7 +250,6 @@ class Server {
   bool stats_exit_ QBP_GUARDED_BY(stats_mutex_) = false;
 
   std::atomic<bool> started_{false};
-  std::atomic<bool> draining_{false};
   std::atomic<bool> drained_{false};
   std::atomic<bool> shutdown_{false};
 
@@ -239,20 +300,22 @@ class Server {
   Histogram& wire_decode_seconds_;
 };
 
-/// Pipe / socket serve loops (POSIX).  Both read requests until EOF, a
-/// shutdown request, or a byte on `wake_fd` (the signal handler's
-/// self-pipe; pass -1 for none), then drain the server and return 0.
-/// `mode` picks the edge framing per connection (WireMode above); a
-/// malformed binary frame answers with one error frame and fails only that
-/// connection, never the daemon.
-/// serve_fd reads from `in_fd` and writes every response to `out_fd`.
+/// Pipe / socket serve loops (POSIX).  Both run Connection::read_requests
+/// on each connection until EOF, a shutdown request, or a byte on `wake_fd`
+/// (the signal handler's self-pipe; pass -1 for none), then drain the
+/// server and return 0.  `mode` picks the edge framing per connection
+/// (WireMode above); a malformed binary frame answers with one error frame
+/// and fails only that connection, never the daemon.
+/// serve_fd reads from `in_fd` and writes every reply to `out_fd`; both
+/// stay open (they belong to the caller).
 [[nodiscard]] int serve_fd(Server& server, int in_fd, int out_fd, int wake_fd,
                            WireMode mode = WireMode::kAuto);
 
-/// Listens on 127.0.0.1:`port` (one thread per connection; responses route
-/// to the submitting connection).  Returns 0 on clean drain, 1 on socket
-/// setup failure.  `bound_port`, when non-null, receives the actual
-/// listening port (useful with port 0) before the accept loop starts.
+/// Listens on 127.0.0.1:`port`, one reader thread per connection, joined
+/// as soon as it exits; replies go only to the connection that sent the
+/// request.  Returns 0 on clean drain, 1 on socket setup failure.
+/// `bound_port`, when non-null, receives the actual listening port (useful
+/// with port 0) before the accept loop starts.
 [[nodiscard]] int serve_tcp(Server& server, std::uint16_t port, int wake_fd,
                             WireMode mode = WireMode::kAuto,
                             std::atomic<std::uint16_t>* bound_port = nullptr);

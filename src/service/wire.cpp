@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstddef>
+#include <iterator>
 #include <limits>
 #include <utility>
 #include <vector>
@@ -64,6 +65,26 @@ void append_note_frame(WireMsg type, std::string_view id, std::string_view text,
   writer.string(text);
   wire::append_frame(out, static_cast<std::uint8_t>(type), payload);
 }
+
+/// How each Reply::Kind travels, indexed by the kind: its frame type, and
+/// in NDJSON its "type" and the key its text goes under.  A stats reply is
+/// its JSON document verbatim in both framings: it is a cold debug surface,
+/// and one schema keeps every dashboard working (docs/PROTOCOL.md).
+struct ReplyShape {
+  WireMsg frame;
+  const char* type;
+  const char* text_key;
+};
+constexpr ReplyShape kReplyShapes[] = {
+    {WireMsg::kResult, "result", ""},
+    {WireMsg::kReject, "reject", "reason"},
+    {WireMsg::kError, "error", "reason"},
+    {WireMsg::kStatsReply, "stats", ""},
+    {WireMsg::kCancelAck, "cancel", "status"},
+    {WireMsg::kShutdownAck, "shutdown", "status"},
+};
+static_assert(std::size(kReplyShapes) ==
+              static_cast<std::size_t>(Reply::Kind::kShutdownAck) + 1);
 
 }  // namespace
 
@@ -478,6 +499,18 @@ bool decode_cancel(std::string_view payload, Request& out, std::string& error) {
   return true;
 }
 
+bool decode_request(std::uint8_t type, std::string_view payload, Request& out,
+                    std::string& error) {
+  out = Request{};
+  switch (static_cast<WireMsg>(type)) {
+    case WireMsg::kSubmit: return decode_submit(payload, out, error);
+    case WireMsg::kCancel: return decode_cancel(payload, out, error);
+    case WireMsg::kStats: out.type = RequestType::kStats; return true;
+    case WireMsg::kShutdown: out.type = RequestType::kShutdown; return true;
+    default: return fail(error, "unknown frame type " + std::to_string(type));
+  }
+}
+
 void encode_result_frame(const JobResult& result, std::string& out) {
   std::string payload;
   wire::Writer writer(payload);
@@ -549,26 +582,38 @@ bool decode_result(std::string_view payload, JobResult& out,
   return true;
 }
 
-void encode_reject_frame(std::string_view id, std::string_view reason,
-                         std::string& out) {
-  append_note_frame(WireMsg::kReject, id, reason, out);
+void render_reply(const Reply& reply, Framing framing, std::string& out) {
+  const ReplyShape& shape = kReplyShapes[static_cast<int>(reply.kind)];
+  if (framing == Framing::kBinary) {
+    if (reply.kind == Reply::Kind::kResult) {
+      encode_result_frame(reply.result, out);
+    } else {
+      append_note_frame(shape.frame, reply.id, reply.text, out);
+    }
+  } else if (reply.kind == Reply::Kind::kResult) {
+    out += result_to_json(reply.result).dump();
+  } else if (reply.kind == Reply::Kind::kStats) {
+    out += reply.text;
+  } else {
+    json::Value line = json::Value::object();
+    line.set("type", shape.type);
+    if (!reply.id.empty()) line.set("id", reply.id);
+    line.set(shape.text_key, reply.text);
+    out += line.dump();
+  }
 }
 
-void encode_error_frame(std::string_view reason, std::string& out) {
-  append_note_frame(WireMsg::kError, {}, reason, out);
-}
-
-void encode_stats_reply_frame(std::string_view stats_json, std::string& out) {
-  append_note_frame(WireMsg::kStatsReply, {}, stats_json, out);
-}
-
-void encode_cancel_ack_frame(std::string_view id, std::string_view status,
-                             std::string& out) {
-  append_note_frame(WireMsg::kCancelAck, id, status, out);
-}
-
-void encode_shutdown_ack_frame(std::string_view status, std::string& out) {
-  append_note_frame(WireMsg::kShutdownAck, {}, status, out);
+bool decode_reply_frame(std::uint8_t type, std::string_view payload,
+                        Reply& out, std::string& error) {
+  out = Reply{};
+  for (std::size_t kind = 0; kind < std::size(kReplyShapes); ++kind) {
+    if (static_cast<std::uint8_t>(kReplyShapes[kind].frame) != type) continue;
+    out.kind = static_cast<Reply::Kind>(kind);
+    return out.kind == Reply::Kind::kResult
+               ? decode_result(payload, out.result, error)
+               : decode_note(payload, out.id, out.text, error);
+  }
+  return fail(error, "unexpected frame type " + std::to_string(type));
 }
 
 bool decode_note(std::string_view payload, std::string& id, std::string& text,

@@ -75,23 +75,27 @@ void encode_request_frame(const Request& request, std::string& out);
 /// Decode a kCancel payload (id only; id must be non-empty).
 [[nodiscard]] bool decode_cancel(std::string_view payload, Request& out,
                                  std::string& error);
+/// Decode any request frame: decode_submit / decode_cancel by type, or the
+/// payload-free kStats / kShutdown; unknown types fail with a message.
+[[nodiscard]] bool decode_request(std::uint8_t type, std::string_view payload,
+                                  Request& out, std::string& error);
 
 /// Encode a finished job as one complete kResult frame appended to `out`.
 void encode_result_frame(const JobResult& result, std::string& out);
 [[nodiscard]] bool decode_result(std::string_view payload, JobResult& out,
                                  std::string& error);
 
-/// Non-result responses.  The ack/reject/error payloads are two strings:
-/// (id, reason-or-status); kError and kStatsReply carry id-less text.
-void encode_reject_frame(std::string_view id, std::string_view reason,
-                         std::string& out);
-void encode_error_frame(std::string_view reason, std::string& out);
-void encode_stats_reply_frame(std::string_view stats_json, std::string& out);
-void encode_cancel_ack_frame(std::string_view id, std::string_view status,
-                             std::string& out);
-void encode_shutdown_ack_frame(std::string_view status, std::string& out);
-/// Decode the (id, text) payload shared by kReject / kCancelAck; kError /
-/// kShutdownAck / kStatsReply use an empty id and text only.
+/// Append `reply` to `out` as one NDJSON line (without its newline) or one
+/// complete wire frame.  The only renderer of replies, for both framings.
+/// Non-result frames carry two strings, (id, text); kError, kStatsReply and
+/// kShutdownAck leave the id empty.
+void render_reply(const Reply& reply, Framing framing, std::string& out);
+/// Decode a reply frame of any response type into `out`; the inverse of
+/// render_reply's binary framing.
+[[nodiscard]] bool decode_reply_frame(std::uint8_t type,
+                                      std::string_view payload, Reply& out,
+                                      std::string& error);
+/// Decode the (id, text) payload of a non-result reply frame.
 [[nodiscard]] bool decode_note(std::string_view payload, std::string& id,
                                std::string& text, std::string& error);
 

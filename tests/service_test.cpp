@@ -3,19 +3,28 @@
 // cancellation, backpressure, drain), determinism across worker counts,
 // and the metrics registry.
 //
-// The server is exercised in-process: handle_line() with a collecting sink
-// is exactly the pipe-mode serve loop minus the fd plumbing, and keeps the
-// tests free of process management.  ServerOptions::autostart = false lets
-// a test stage every submission before any worker can pop, making
-// completion order assertions deterministic.
+// The server is exercised in-process: handle_line() on a Connection over a
+// collecting sink is exactly the pipe-mode serve loop minus the fd
+// plumbing, and keeps the tests free of process management.
+// ServerOptions::autostart = false lets a test stage every submission
+// before any worker can pop, making completion order assertions
+// deterministic.  The ServeLoop tests drive serve_fd over pipes and
+// serve_tcp over real loopback sockets.
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <poll.h>
+#include <pthread.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <fstream>
+#include <memory>
 #include <mutex>
 #include <sstream>
 #include <string>
@@ -48,11 +57,14 @@ std::string tiny_problem_text(std::uint64_t seed = 11) {
 /// Thread-safe collecting sink + helpers to await and decode responses.
 class ResponseLog {
  public:
-  Server::Sink sink() {
-    return [this](const std::string& line) {
-      const std::lock_guard lock(mutex_);
-      lines_.push_back(line);
-    };
+  /// A fresh in-process client whose replies land in this log.
+  std::shared_ptr<Connection> client(Framing framing = Framing::kNdjson) {
+    return std::make_shared<Connection>(
+        [this](const std::string& line) {
+          const std::lock_guard lock(mutex_);
+          lines_.push_back(line);
+        },
+        framing);
   }
 
   [[nodiscard]] std::vector<std::string> lines() const {
@@ -327,7 +339,7 @@ TEST(Server, EndToEndJobsProduceDeterministicResults) {
       server.handle_line(
           submit_line("job" + std::to_string(k), problem,
                       /*seed=*/100 + static_cast<std::uint64_t>(k)),
-          log.sink());
+          log.client());
     }
     server.drain();
     auto results = log.results();
@@ -360,11 +372,11 @@ TEST(Server, ResubmittedJobIsServedFromCacheBitIdentical) {
     ServerOptions options;
     options.workers = workers;
     Server server(options);
-    server.handle_line(submit_line("first", problem, /*seed=*/3), log.sink());
+    server.handle_line(submit_line("first", problem, /*seed=*/3), log.client());
     wait_for_results(log, 1);  // the first solve lands before the resubmit
-    server.handle_line(submit_line("second", problem, /*seed=*/3), log.sink());
+    server.handle_line(submit_line("second", problem, /*seed=*/3), log.client());
     server.drain();
-    server.handle_line("{\"type\":\"stats\"}", log.sink());
+    server.handle_line("{\"type\":\"stats\"}", log.client());
 
     auto results = log.results();
     ASSERT_EQ(results.size(), 2u) << "workers " << workers;
@@ -399,7 +411,7 @@ TEST(Server, CacheOffServesEveryJobColdAndBitIdentical) {
   ResponseLog on_log;
   {
     Server server(ServerOptions{});
-    server.handle_line(submit_line("ref", problem, /*seed=*/3), on_log.sink());
+    server.handle_line(submit_line("ref", problem, /*seed=*/3), on_log.client());
     server.drain();
   }
   const auto reference = on_log.results();
@@ -409,11 +421,11 @@ TEST(Server, CacheOffServesEveryJobColdAndBitIdentical) {
   ServerOptions options;
   options.cache_capacity = 0;
   Server server(options);
-  server.handle_line(submit_line("a", problem, /*seed=*/3), log.sink());
+  server.handle_line(submit_line("a", problem, /*seed=*/3), log.client());
   wait_for_results(log, 1);
-  server.handle_line(submit_line("b", problem, /*seed=*/3), log.sink());
+  server.handle_line(submit_line("b", problem, /*seed=*/3), log.client());
   server.drain();
-  server.handle_line("{\"type\":\"stats\"}", log.sink());
+  server.handle_line("{\"type\":\"stats\"}", log.client());
 
   auto results = log.results();
   ASSERT_EQ(results.size(), 2u);
@@ -444,10 +456,10 @@ TEST(Server, PerRequestCacheOptOutSkipsLookupAndInsert) {
   request.solver.iterations = 40;
   request.solver.seed = 3;
   request.cache = false;
-  server.handle_line(format_request(request), log.sink());
+  server.handle_line(format_request(request), log.client());
   wait_for_results(log, 1);
   request.id = "optout-2";
-  server.handle_line(format_request(request), log.sink());
+  server.handle_line(format_request(request), log.client());
   server.drain();
 
   const auto results = log.results();
@@ -476,7 +488,7 @@ TEST(Server, InnerThreadsAreBitIdenticalEndToEnd) {
     request.solver.iterations = 40;
     request.solver.seed = 7;
     request.solver.inner_threads = inner_threads;
-    server.handle_line(format_request(request), log.sink());
+    server.handle_line(format_request(request), log.client());
     server.drain();
     const auto results = log.results();
     EXPECT_EQ(results.size(), 1u);
@@ -514,9 +526,9 @@ TEST(Server, OversubscribedInnerThreadsAreClampedAndReported) {
   request.solver.threads = 2;
   request.solver.iterations = 10;
   request.solver.inner_threads = 8;
-  server.handle_line(format_request(request), log.sink());
+  server.handle_line(format_request(request), log.client());
   server.drain();
-  server.handle_line("{\"type\":\"stats\"}", log.sink());
+  server.handle_line("{\"type\":\"stats\"}", log.client());
 
   const auto results = log.results();
   ASSERT_EQ(results.size(), 1u);
@@ -548,8 +560,8 @@ TEST(Server, PerJobValidateFlagShadowAuditsEveryStart) {
   audited.solver.starts = 3;
   audited.solver.iterations = 40;
   audited.solver.validate = true;
-  server.handle_line(format_request(audited), log.sink());
-  server.handle_line(submit_line("plain", problem), log.sink());
+  server.handle_line(format_request(audited), log.client());
+  server.handle_line(submit_line("plain", problem), log.client());
   server.drain();
 
   auto results = log.results();
@@ -574,13 +586,13 @@ TEST(Server, FifoWithinPriorityCompletionOrder) {
   options.autostart = false;  // stage everything first
   Server server(options);
   server.handle_line(submit_line("low-0", problem, 1, /*priority=*/0),
-                     log.sink());
+                     log.client());
   server.handle_line(submit_line("high-0", problem, 2, /*priority=*/9),
-                     log.sink());
+                     log.client());
   server.handle_line(submit_line("low-1", problem, 3, /*priority=*/0),
-                     log.sink());
+                     log.client());
   server.handle_line(submit_line("high-1", problem, 4, /*priority=*/9),
-                     log.sink());
+                     log.client());
   server.start();
   server.drain();
 
@@ -600,7 +612,7 @@ TEST(Server, ExpiredDeadlineReportsDeadlineExceeded) {
   Server server(options);
   // 1 microsecond: expired long before the (not yet started) workers pop it.
   server.handle_line(submit_line("doomed", problem, 1, 0, /*deadline_ms=*/0.001),
-                     log.sink());
+                     log.client());
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
   server.start();
   server.drain();
@@ -620,7 +632,7 @@ TEST(Server, MidRunDeadlineCancelsCooperatively) {
   Server server(ServerOptions{});
   server.handle_line(submit_line("slow", problem, 1, 0, /*deadline_ms=*/30.0,
                                  /*starts=*/512, /*threads=*/1, "sa"),
-                     log.sink());
+                     log.client());
   server.drain();
 
   const auto results = log.results();
@@ -635,9 +647,9 @@ TEST(Server, FullQueueRejectsWithBackpressure) {
   options.queue_capacity = 2;
   options.autostart = false;  // nothing pops, so the queue stays full
   Server server(options);
-  server.handle_line(submit_line("a", problem), log.sink());
-  server.handle_line(submit_line("b", problem), log.sink());
-  server.handle_line(submit_line("c", problem), log.sink());
+  server.handle_line(submit_line("a", problem), log.client());
+  server.handle_line(submit_line("b", problem), log.client());
+  server.handle_line(submit_line("c", problem), log.client());
   EXPECT_EQ(log.count("\"type\":\"reject\""), 1u);
   EXPECT_EQ(log.count("queue full (capacity 2)"), 1u);
   EXPECT_EQ(server.metrics().counter("jobs_rejected").value(), 1);
@@ -651,11 +663,11 @@ TEST(Server, CancelQueuedJobAnswersCancelled) {
   ServerOptions options;
   options.autostart = false;
   Server server(options);
-  server.handle_line(submit_line("keep", problem), log.sink());
-  server.handle_line(submit_line("kill", problem), log.sink());
-  server.handle_line("{\"type\":\"cancel\",\"id\":\"kill\"}", log.sink());
+  server.handle_line(submit_line("keep", problem), log.client());
+  server.handle_line(submit_line("kill", problem), log.client());
+  server.handle_line("{\"type\":\"cancel\",\"id\":\"kill\"}", log.client());
   server.handle_line("{\"type\":\"cancel\",\"id\":\"nonexistent\"}",
-                     log.sink());
+                     log.client());
   server.start();
   server.drain();
 
@@ -671,7 +683,7 @@ TEST(Server, DrainingServerRejectsNewSubmits) {
   ResponseLog log;
   Server server(ServerOptions{});
   server.begin_drain();
-  server.handle_line(submit_line("late", problem), log.sink());
+  server.handle_line(submit_line("late", problem), log.client());
   EXPECT_EQ(log.count("server draining"), 1u);
   server.drain();
   EXPECT_EQ(log.results().size(), 0u);
@@ -680,11 +692,11 @@ TEST(Server, DrainingServerRejectsNewSubmits) {
 TEST(Server, MalformedLinesAndBadProblemsAreContained) {
   ResponseLog log;
   Server server(ServerOptions{});
-  server.handle_line("this is not json", log.sink());
-  server.handle_line("{\"type\":\"submit\"}", log.sink());
+  server.handle_line("this is not json", log.client());
+  server.handle_line("{\"type\":\"submit\"}", log.client());
   // Valid request, garbage problem text: must come back status "error",
   // not crash the worker.
-  server.handle_line(submit_line("bad", "wibble wobble\n"), log.sink());
+  server.handle_line(submit_line("bad", "wibble wobble\n"), log.client());
   server.drain();
   EXPECT_EQ(log.count("\"type\":\"error\""), 2u);
   EXPECT_EQ(log.count("\"status\":\"error\""), 1u);
@@ -698,8 +710,8 @@ TEST(Server, DuplicateActiveIdRejected) {
   ServerOptions options;
   options.autostart = false;
   Server server(options);
-  server.handle_line(submit_line("dup", problem), log.sink());
-  server.handle_line(submit_line("dup", problem), log.sink());
+  server.handle_line(submit_line("dup", problem), log.client());
+  server.handle_line(submit_line("dup", problem), log.client());
   EXPECT_EQ(log.count("duplicate id"), 1u);
   server.drain();
   EXPECT_EQ(log.results().size(), 1u);
@@ -709,9 +721,9 @@ TEST(Server, StatsRequestReportsCountersAndHistograms) {
   const std::string problem = tiny_problem_text();
   ResponseLog log;
   Server server(ServerOptions{});
-  server.handle_line(submit_line("s1", problem), log.sink());
+  server.handle_line(submit_line("s1", problem), log.client());
   server.drain();
-  server.handle_line("{\"type\":\"stats\"}", log.sink());
+  server.handle_line("{\"type\":\"stats\"}", log.client());
 
   json::Value stats;
   ASSERT_TRUE(json::parse(log.lines().back(), stats).ok);
@@ -736,10 +748,10 @@ TEST(Server, PhaseProfilerSurfacesHistogramsInStats) {
   ResponseLog log;
   {
     Server server(ServerOptions{});
-    server.handle_line(submit_line("p1", problem), log.sink());
-    server.handle_line(submit_line("p2", problem, /*seed=*/2), log.sink());
+    server.handle_line(submit_line("p1", problem), log.client());
+    server.handle_line(submit_line("p2", problem, /*seed=*/2), log.client());
     server.drain();
-    server.handle_line("{\"type\":\"stats\"}", log.sink());
+    server.handle_line("{\"type\":\"stats\"}", log.client());
   }
   prof::set_enabled(false);
   prof::reset();
@@ -760,7 +772,7 @@ TEST(Server, ShutdownRequestFlagsTheServeLoop) {
   ResponseLog log;
   Server server(ServerOptions{});
   EXPECT_FALSE(server.shutdown_requested());
-  server.handle_line("{\"type\":\"shutdown\"}", log.sink());
+  server.handle_line("{\"type\":\"shutdown\"}", log.client());
   EXPECT_TRUE(server.shutdown_requested());
   EXPECT_EQ(log.count("\"type\":\"shutdown\""), 1u);
   server.drain();
@@ -854,7 +866,7 @@ TEST(Server, BinaryFramesBitIdenticalToNdjsonAcrossWorkers) {
         for (int k = 0; k < kJobs; ++k) {
           const auto request =
               make_wire_request("j" + std::to_string(k), problem, 7);
-          server.handle_line(format_request(request), ndjson_log.sink());
+          server.handle_line(format_request(request), ndjson_log.client());
           if (sequenced && k == 0) wait_for_results(ndjson_log, 1);
         }
         server.drain();
@@ -872,7 +884,8 @@ TEST(Server, BinaryFramesBitIdenticalToNdjsonAcrossWorkers) {
           std::string error;
           ASSERT_EQ(wire::peek_frame(frame, view, error),
                     wire::FrameStatus::kFrame);
-          server.handle_frame(view.type, view.payload, binary_log.sink());
+          server.handle_frame(view.type, view.payload,
+                              binary_log.client(Framing::kBinary));
           if (sequenced && k == 0) wait_for_result_frames(binary_log, 1);
         }
         server.drain();
@@ -901,7 +914,7 @@ TEST(Server, WireMetricsPopulateOnBinaryTraffic) {
   wire::FrameView view;
   std::string error;
   ASSERT_EQ(wire::peek_frame(frame, view, error), wire::FrameStatus::kFrame);
-  server.handle_frame(view.type, view.payload, log.sink());
+  server.handle_frame(view.type, view.payload, log.client(Framing::kBinary));
   server.drain();
 
   const json::Value stats = server.stats_json();
@@ -1010,27 +1023,42 @@ TEST(ServeLoop, ForcedBinaryRejectsTextBytes) {
   EXPECT_EQ(static_cast<WireMsg>(frame.type), WireMsg::kError);
 }
 
+/// A Server behind serve_tcp on an ephemeral loopback port, run on its own
+/// thread with a wake pipe (the signal self-pipe of qbpartd).
 class TcpServerFixture {
  public:
-  explicit TcpServerFixture(ServerOptions options = {})
-      : server_(options), thread_([this] {
-          (void)serve_tcp(server_, /*port=*/0, /*wake_fd=*/-1, WireMode::kAuto,
-                          &port_);
-        }) {
+  explicit TcpServerFixture(ServerOptions options = {}) : server_(options) {
+    EXPECT_EQ(::pipe(wake_), 0);
+    thread_ = std::thread([this] {
+      status_.store(serve_tcp(server_, /*port=*/0, wake_[0], WireMode::kAuto,
+                              &port_));
+    });
     while (port_.load() == 0) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   }
 
   ~TcpServerFixture() {
-    // A shutdown request flags the accept loop; it exits on its next poll.
-    TcpClient client;
-    if (client.connect(port())) {
-      (void)client.send_line("{\"type\":\"shutdown\"}");
-      std::string line;
-      (void)client.read_line(line);
-    }
+    wake();
     thread_.join();
+    ::close(wake_[0]);
+    ::close(wake_[1]);
+  }
+
+  /// Stop the serve loop as SIGINT/SIGTERM would.
+  void wake() {
+    const char byte = 'x';
+    (void)!::write(wake_[1], &byte, 1);
+  }
+
+  /// Wait up to `timeout` for serve_tcp to return; its status, or -1 if it
+  /// is still running.
+  int wait_for_exit(std::chrono::milliseconds timeout) {
+    const auto deadline = std::chrono::steady_clock::now() + timeout;
+    while (status_.load() < 0 && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    return status_.load();
   }
 
   [[nodiscard]] std::uint16_t port() const { return port_.load(); }
@@ -1038,9 +1066,91 @@ class TcpServerFixture {
 
  private:
   Server server_;
+  int wake_[2] = {-1, -1};
   std::atomic<std::uint16_t> port_{0};
+  std::atomic<int> status_{-1};
   std::thread thread_;
 };
+
+/// A raw loopback client whose reads give up after a timeout, so a server
+/// that misroutes or stalls replies fails these tests instead of hanging
+/// them.
+class LoopbackClient {
+ public:
+  explicit LoopbackClient(std::uint16_t port)
+      : fd_(::socket(AF_INET, SOCK_STREAM, 0)) {
+    sockaddr_in address{};
+    address.sin_family = AF_INET;
+    address.sin_port = htons(port);
+    address.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    EXPECT_EQ(::connect(fd_, reinterpret_cast<const sockaddr*>(&address),
+                        sizeof address),
+              0);
+  }
+  ~LoopbackClient() { close(); }
+
+  LoopbackClient(const LoopbackClient&) = delete;
+  LoopbackClient& operator=(const LoopbackClient&) = delete;
+
+  void close() {
+    if (fd_ >= 0) ::close(fd_);
+    fd_ = -1;
+  }
+
+  [[nodiscard]] int fd() const { return fd_; }
+
+  bool send_line(const std::string& line) {
+    const std::string bytes = line + "\n";
+    return ::send(fd_, bytes.data(), bytes.size(), MSG_NOSIGNAL) ==
+           static_cast<ssize_t>(bytes.size());
+  }
+
+  /// The next reply line; false on timeout, EOF or error.
+  bool read_line(std::string& out, std::chrono::milliseconds timeout =
+                                       std::chrono::seconds(10)) {
+    const auto deadline = std::chrono::steady_clock::now() + timeout;
+    for (;;) {
+      const std::size_t newline = pending_.find('\n');
+      if (newline != std::string::npos) {
+        out = pending_.substr(0, newline);
+        pending_.erase(0, newline + 1);
+        return true;
+      }
+      const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+          deadline - std::chrono::steady_clock::now());
+      pollfd ready{fd_, POLLIN, 0};
+      if (left.count() <= 0 ||
+          ::poll(&ready, 1, static_cast<int>(left.count())) <= 0) {
+        return false;
+      }
+      char buffer[4096];
+      const ssize_t count = ::read(fd_, buffer, sizeof buffer);
+      if (count <= 0) return false;
+      pending_.append(buffer, static_cast<std::size_t>(count));
+    }
+  }
+
+  /// True when the server closes the connection within `timeout` with no
+  /// further reply.
+  bool sees_eof(std::chrono::milliseconds timeout = std::chrono::seconds(10)) {
+    pollfd ready{fd_, POLLIN, 0};
+    char byte = 0;
+    return pending_.empty() &&
+           ::poll(&ready, 1, static_cast<int>(timeout.count())) > 0 &&
+           ::read(fd_, &byte, 1) == 0;
+  }
+
+ private:
+  int fd_ = -1;
+  std::string pending_;
+};
+
+/// Spin until `counter` reaches `value` (bounded; the caller asserts).
+void wait_for_count(Counter& counter, std::int64_t value) {
+  for (int spins = 0; spins < 5000 && counter.value() < value; ++spins) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
 
 TEST(ServeLoop, MixedFramingClientsOnOneTcpServer) {
   const std::string problem = tiny_problem_text();
@@ -1126,6 +1236,142 @@ TEST(ServeLoop, MalformedFramesFailOneConnectionNotTheDaemon) {
   std::string payload;
   ASSERT_TRUE(good.read_frame(type, payload));
   EXPECT_EQ(static_cast<WireMsg>(type), WireMsg::kResult);
+}
+
+TEST(ServeLoop, ResultNeverReachesALaterClient) {
+  // A's job is still queued when A disconnects and B connects.  A result
+  // written to a raw fd number that the reader already closed would land
+  // on whichever connection reused it: B.
+  ServerOptions options;
+  options.autostart = false;
+  options.cache_capacity = 0;
+  TcpServerFixture fixture(options);
+  Server& server = fixture.server();
+  {
+    LoopbackClient a(fixture.port());
+    ASSERT_TRUE(a.send_line(submit_line("secret-of-A", tiny_problem_text())));
+    wait_for_count(server.metrics().counter("jobs_submitted"), 1);
+    ASSERT_EQ(server.metrics().counter("jobs_submitted").value(), 1);
+  }
+  // Give A's reader time to see EOF and exit (one poll period is 200 ms).
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  LoopbackClient b(fixture.port());
+  server.start();
+  wait_for_count(server.metrics().counter("jobs_completed"), 1);
+  ASSERT_EQ(server.metrics().counter("jobs_completed").value(), 1);
+
+  ASSERT_TRUE(b.send_line("{\"type\":\"stats\"}"));
+  std::string line;
+  ASSERT_TRUE(b.read_line(line));
+  EXPECT_EQ(line.find("secret-of-A"), std::string::npos) << line;
+  EXPECT_NE(line.find("\"type\":\"stats\""), std::string::npos) << line;
+}
+
+TEST(ServeLoop, ShutdownAnswersAcceptedJobsBeforeClosing) {
+  ServerOptions options;
+  options.autostart = false;  // A's job is still queued at the shutdown
+  options.cache_capacity = 0;
+  TcpServerFixture fixture(options);
+  Server& server = fixture.server();
+
+  LoopbackClient a(fixture.port());
+  ASSERT_TRUE(a.send_line(submit_line("accepted", tiny_problem_text())));
+  wait_for_count(server.metrics().counter("jobs_submitted"), 1);
+  ASSERT_EQ(server.metrics().counter("jobs_submitted").value(), 1);
+
+  LoopbackClient b(fixture.port());
+  ASSERT_TRUE(b.send_line("{\"type\":\"shutdown\"}"));
+  std::string ack;
+  ASSERT_TRUE(b.read_line(ack));
+  EXPECT_NE(ack.find("draining"), std::string::npos) << ack;
+  EXPECT_EQ(fixture.wait_for_exit(std::chrono::seconds(30)), 0);
+
+  std::string line;
+  ASSERT_TRUE(a.read_line(line)) << "EOF before the accepted job's result";
+  json::Value value;
+  ASSERT_TRUE(json::parse(line, value).ok) << line;
+  JobResult result;
+  ASSERT_TRUE(result_from_json(value, result).ok) << line;
+  EXPECT_EQ(result.id, "accepted");
+  EXPECT_EQ(result.status, "ok");
+  EXPECT_TRUE(a.sees_eof());
+}
+
+TEST(ServeLoop, StalledReaderDoesNotBlockOtherClients) {
+  TcpServerFixture fixture;
+  Counter& requests = fixture.server().metrics().counter("requests_total");
+
+  // X pipelines stats requests and never reads a reply, until the server
+  // stops reading X because a reply write to X cannot make progress.
+  LoopbackClient x(fixture.port());
+  std::string burst;
+  for (int k = 0; k < 1000; ++k) burst += "{\"type\":\"stats\"}\n";
+  for (int sent = 0, stuck_ms = 0; sent < 20 && stuck_ms < 1000;) {
+    if (::send(x.fd(), burst.data(), burst.size(),
+               MSG_NOSIGNAL | MSG_DONTWAIT) > 0) {
+      ++sent;  // a partial burst only splits one line; the server copes
+      continue;
+    }
+    if (errno != EAGAIN && errno != EWOULDBLOCK) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    stuck_ms += 10;
+  }
+  std::int64_t seen = -1;
+  for (int spins = 0; spins < 50 && requests.value() != seen; ++spins) {
+    seen = requests.value();
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  }
+
+  LoopbackClient y(fixture.port());
+  ASSERT_TRUE(y.send_line("{\"type\":\"stats\"}"));
+  std::string line;
+  EXPECT_TRUE(y.read_line(line, std::chrono::seconds(2)))
+      << "a client that never reads blocked another client's reply";
+  EXPECT_NE(line.find("\"type\":\"stats\""), std::string::npos) << line;
+
+  // X's blocked write may hold the exit for at most the send timeout.
+  ASSERT_TRUE(y.send_line("{\"type\":\"shutdown\"}"));
+  const int status = fixture.wait_for_exit(kSendTimeout + std::chrono::seconds(2));
+  EXPECT_EQ(status, 0) << "serve_tcp still running past the send timeout";
+  if (status != 0) {
+    x.close();  // unblock the stalled write so the fixture can join
+    fixture.wake();
+  }
+}
+
+TEST(ServeLoop, FinishedConnectionThreadsAreReaped) {
+  TcpServerFixture fixture;
+  const auto cycle = [&fixture] {
+    LoopbackClient client(fixture.port());
+    ASSERT_TRUE(client.send_line("{\"type\":\"stats\"}"));
+    std::string line;
+    ASSERT_TRUE(client.read_line(line));
+    ::shutdown(client.fd(), SHUT_WR);
+    ASSERT_TRUE(client.sees_eof());
+  };
+  const auto vm_size_kib = [] {
+    std::ifstream status("/proc/self/status");
+    std::string key;
+    std::int64_t kib = 0;
+    while (status >> key) {
+      if (key == "VmSize:" && status >> kib) return kib;
+    }
+    return kib;
+  };
+  pthread_attr_t attr;
+  ASSERT_EQ(::pthread_getattr_default_np(&attr), 0);
+  std::size_t stack_bytes = 0;
+  ASSERT_EQ(::pthread_attr_getstacksize(&attr, &stack_bytes), 0);
+  ::pthread_attr_destroy(&attr);
+  const auto stack_kib = static_cast<std::int64_t>(stack_bytes / 1024);
+
+  cycle();
+  const std::int64_t before = vm_size_kib();
+  for (int k = 0; k < 64; ++k) cycle();
+  const std::int64_t grown = vm_size_kib() - before;
+  // Unjoined exited threads keep their stacks mapped: 64 of them would grow
+  // VmSize by 64 stacks.  Reaped ones are reused from glibc's stack cache.
+  EXPECT_LT(grown, 8 * stack_kib) << "VmSize grew by " << grown << " KiB";
 }
 
 // ------------------------------------------------------------ metrics ----

@@ -346,6 +346,67 @@ TEST(MessageCodec, ResultRoundTripsEveryField) {
   EXPECT_EQ(out.eco_edits, result.eco_edits);
 }
 
+TEST(MessageCodec, EveryReplyKindRendersInBothFramings) {
+  using Kind = service::Reply::Kind;
+  struct Case {
+    service::Reply reply;
+    std::string_view ndjson;  // the exact line NDJSON clients parse
+  };
+  const Case cases[] = {
+      {{.kind = Kind::kReject, .id = "j1", .text = "queue full"},
+       R"({"type":"reject","id":"j1","reason":"queue full"})"},
+      {{.kind = Kind::kReject, .text = "cannot read"},
+       R"({"type":"reject","reason":"cannot read"})"},
+      {{.kind = Kind::kError, .text = "bad line"},
+       R"({"type":"error","reason":"bad line"})"},
+      {{.kind = Kind::kStats, .text = R"({"type":"stats","uptime_s":1})"},
+       R"({"type":"stats","uptime_s":1})"},
+      {{.kind = Kind::kCancelAck, .id = "j2", .text = "signalled"},
+       R"({"type":"cancel","id":"j2","status":"signalled"})"},
+      {{.kind = Kind::kShutdownAck, .text = "draining"},
+       R"({"type":"shutdown","status":"draining"})"},
+  };
+  for (const Case& c : cases) {
+    std::string line;
+    service::render_reply(c.reply, service::Framing::kNdjson, line);
+    EXPECT_EQ(line, c.ndjson);
+
+    std::string frame;
+    service::render_reply(c.reply, service::Framing::kBinary, frame);
+    std::uint8_t type = 0;
+    std::string payload;
+    split_frame(frame, type, payload);
+    service::Reply back;
+    std::string error;
+    ASSERT_TRUE(service::decode_reply_frame(type, payload, back, error))
+        << error;
+    EXPECT_EQ(back.kind, c.reply.kind);
+    EXPECT_EQ(back.id, c.reply.id);
+    EXPECT_EQ(back.text, c.reply.text);
+  }
+
+  service::Reply result{.kind = Kind::kResult};
+  result.result.id = "r1";
+  result.result.status = "ok";
+  result.result.assignment = {1, 0};
+  std::string line;
+  service::render_reply(result, service::Framing::kNdjson, line);
+  EXPECT_EQ(line, service::result_to_json(result.result).dump());
+  std::string frame;
+  service::render_reply(result, service::Framing::kBinary, frame);
+  std::uint8_t type = 0;
+  std::string payload;
+  split_frame(frame, type, payload);
+  service::Reply back;
+  std::string error;
+  ASSERT_TRUE(service::decode_reply_frame(type, payload, back, error)) << error;
+  EXPECT_EQ(back.kind, Kind::kResult);
+  EXPECT_EQ(back.result.assignment, result.result.assignment);
+  EXPECT_FALSE(service::decode_reply_frame(
+      static_cast<std::uint8_t>(service::WireMsg::kSubmit), payload, back,
+      error));
+}
+
 TEST(MessageCodec, MalformedPayloadsFailWithMessagesNeverAbort) {
   service::Request request;
   service::JobResult result;
