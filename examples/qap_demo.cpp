@@ -12,6 +12,7 @@
 #include "core/initial.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
+#include "util/strings.hpp"
 
 int main(int argc, char** argv) {
   std::int64_t size = 7;
@@ -43,7 +44,7 @@ int main(int argc, char** argv) {
   qbp::Rng rng(static_cast<std::uint64_t>(seed));
   qbp::Netlist netlist("qap");
   for (std::int32_t j = 0; j < n; ++j) {
-    netlist.add_component("f" + std::to_string(j), 1.0);
+    netlist.add_component(qbp::numbered("f", j), 1.0);
   }
   for (std::int32_t a = 0; a < n; ++a) {
     for (std::int32_t b = a + 1; b < n; ++b) {

@@ -8,6 +8,7 @@
 
 #include "util/check.hpp"
 #include "util/rng.hpp"
+#include "util/strings.hpp"
 
 namespace qbp {
 
@@ -82,7 +83,7 @@ CircuitInstance make_circuit(const CircuitPreset& preset,
 
 PartitionProblem make_scaling_problem(std::int32_t n, std::uint64_t seed) {
   RandomNetlistSpec spec;
-  spec.name = "scale" + std::to_string(n);
+  spec.name = numbered("scale", n);
   spec.num_components = n;
   spec.total_wires = 6 * static_cast<std::int64_t>(n);
   spec.seed = seed;
@@ -120,7 +121,7 @@ PartitionProblem make_presolve_problem(std::int32_t n, std::uint64_t seed) {
   const std::int32_t num_base = n - num_r2 - num_r1 - num_r0;
 
   RandomNetlistSpec spec;
-  spec.name = "presolve" + std::to_string(n);
+  spec.name = numbered("presolve", n);
   spec.num_components = num_base;
   spec.total_wires = 6 * static_cast<std::int64_t>(num_base);
   spec.seed = seed;
@@ -134,7 +135,7 @@ PartitionProblem make_presolve_problem(std::int32_t n, std::uint64_t seed) {
   Netlist netlist(spec.name);
   std::vector<std::int32_t> slot = generated.hidden_slot;
   for (std::int32_t j = 0; j < num_base; ++j) {
-    netlist.add_component("c" + std::to_string(j),
+    netlist.add_component(numbered("c", j),
                           generated.netlist.component_size(j));
   }
   for (const WireBundle& bundle : generated.netlist.bundles()) {
@@ -150,7 +151,7 @@ PartitionProblem make_presolve_problem(std::int32_t n, std::uint64_t seed) {
     const auto host =
         static_cast<std::int32_t>(rng.next_below(static_cast<std::uint64_t>(num_base)));
     const std::int32_t id = netlist.add_component(
-        "r2_" + std::to_string(k), rng.next_double(0.2, 0.8));
+        numbered("r2_", k), rng.next_double(0.2, 0.8));
     netlist.add_wires(host, id,
                       static_cast<std::int32_t>(1 + rng.next_below(3)));
     slot.push_back(slot[static_cast<std::size_t>(host)]);
@@ -161,7 +162,7 @@ PartitionProblem make_presolve_problem(std::int32_t n, std::uint64_t seed) {
     const auto host =
         static_cast<std::int32_t>(rng.next_below(static_cast<std::uint64_t>(num_base)));
     const std::int32_t id =
-        netlist.add_component("r1_" + std::to_string(k), 0.25);
+        netlist.add_component(numbered("r1_", k), 0.25);
     netlist.add_wires(host, id, 1);
     slot.push_back(slot[static_cast<std::size_t>(host)]);
   }
@@ -184,7 +185,7 @@ PartitionProblem make_presolve_problem(std::int32_t n, std::uint64_t seed) {
     const auto host =
         static_cast<std::int32_t>(rng.next_below(static_cast<std::uint64_t>(num_base)));
     const std::int32_t id =
-        netlist.add_component("r0_" + std::to_string(k), macro_size);
+        netlist.add_component(numbered("r0_", k), macro_size);
     netlist.add_wires(host, id, 1);
     slot.push_back(k % kPartitions);
     capacities[static_cast<std::size_t>(k % kPartitions)] += macro_size;

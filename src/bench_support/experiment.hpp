@@ -69,13 +69,6 @@ struct ExperimentRow {
                                                 bool initial_feasible,
                                                 const ExperimentConfig& config);
 
-/// Render rows in the paper's table layout.
-[[nodiscard]] std::string format_table(const std::string& title,
-                                       const std::vector<ExperimentRow>& rows);
-
-/// Comma-separated dump for downstream plotting.
-[[nodiscard]] std::string rows_to_csv(const std::vector<ExperimentRow>& rows);
-
 /// Machine-readable dump: an array of row objects, one member per method
 /// ({final, improvement_pct, cpu_s, feasible}).  The benches write this via
 /// --json so the perf trajectory (bench/BENCH_*.json) diffs cleanly across

@@ -27,8 +27,8 @@
 //     violations away from feasibility; the polish converts the line
 //     search's iterates into certified local minima at negligible cost and
 //     is what the paper's own "enhancement" framing invites.  Setting
-//     polish_sweeps = 0 recovers the literal listing (ablated in
-//     bench_ablation_polish).
+//     polish_sweeps = 0 recovers the literal listing (ablated by the
+//     `polish` study of bench_runner --suite ablation).
 //
 // "The search stops after a predetermined number of iterations.  The best
 // result seen so far becomes the solution" -- iteration count is the only

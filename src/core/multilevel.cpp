@@ -294,10 +294,6 @@ MultilevelResult run_vcycle(const PartitionProblem& problem,
   if (options.should_stop && !coarse_options.should_stop) {
     coarse_options.should_stop = options.should_stop;
   }
-  BurkardOptions refine_options = options.refine_solver;
-  if (options.should_stop && !refine_options.should_stop) {
-    refine_options.should_stop = options.should_stop;
-  }
   BurkardResult run;
   {
     QBP_PROF_SCOPE("multilevel.coarse_solve");
@@ -312,20 +308,15 @@ MultilevelResult run_vcycle(const PartitionProblem& problem,
     if (stopped) {
       const bool projected_feasible = fine.is_feasible(u);
       run = wrap_refined(fine, std::move(u), projected_feasible,
-                         refine_options.penalty);
+                         options.refine_solver.penalty);
       continue;
     }
     const std::uint64_t level_seed =
         options.coarsen.seed * 0x9e3779b97f4a7c15ull +
         static_cast<std::uint64_t>(level);
     const bool feasible = refine_level(fine, u, options, level_seed);
-    if (options.refine_burkard_max_n > 0 &&
-        fine.num_components() <= options.refine_burkard_max_n) {
-      QBP_PROF_SCOPE("multilevel.refine.burkard");
-      run = burkard_heuristic(fine, u, refine_options);
-    } else {
-      run = wrap_refined(fine, std::move(u), feasible, refine_options.penalty);
-    }
+    run = wrap_refined(fine, std::move(u), feasible,
+                       options.refine_solver.penalty);
   }
 
   result.finest = std::move(run);

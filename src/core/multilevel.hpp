@@ -22,9 +22,8 @@
 //      bound) and the objective (intra-cluster wires cost B(i,i) = 0).
 //   4. REFINE at that level: `refine_passes` bounded best-improvement
 //      sweeps through the shared DeltaEvaluator (dirty-flag cached deltas),
-//      a min-conflicts timing repair when the descent traded feasibility
-//      away, and -- on levels small enough to afford it -- a full Burkard
-//      run (`refine_burkard_max_n`).  Repeat 3-4 up to the finest level.
+//      then a min-conflicts timing repair when the descent traded
+//      feasibility away.  Repeat 3-4 up to the finest level.
 //
 // Determinism: bit-identical results at every thread count.  The matching
 // runs as parallel proposal rounds (each vertex's preferred partner is a
@@ -92,20 +91,15 @@ struct MultilevelOptions {
   /// (polish_iterate: DeltaEvaluator move sweep + swap sweeps, C1
   /// invariant).  0 disables per-level refinement.
   std::int32_t refine_passes = 3;
-  /// Levels with at most this many components additionally get a full
-  /// `refine_solver` Burkard run from the refined projection; larger levels
-  /// rely on the polish/repair refinement alone (a full run there would
-  /// cost as much as the flat solve the V-cycle exists to avoid).  0
-  /// disables the per-level Burkard runs everywhere.
-  std::int32_t refine_burkard_max_n = 0;
   /// Burkard budget on the coarsest problem.
   BurkardOptions coarse_solver;
-  /// Burkard budget for the small-level refinement runs; its `penalty` and
-  /// `inner_threads` also drive the polish refinement on every level.
+  /// Per-level refinement settings: its `penalty` and `inner_threads` drive
+  /// the polish and repair on every level (no level runs a full Burkard
+  /// solve, so its iteration budget is unused).
   BurkardOptions refine_solver;
   CoarsenOptions coarsen;
-  /// Cooperative cancellation hook, forwarded into every per-level solver
-  /// run and checked between levels (a fired hook skips the remaining
+  /// Cooperative cancellation hook, forwarded into the coarsest solve and
+  /// checked between levels (a fired hook skips the remaining
   /// refinement work while the projection still reaches the finest level).
   /// Empty = never stop.
   std::function<bool()> should_stop;
@@ -113,19 +107,16 @@ struct MultilevelOptions {
   /// the one reduce -> solve -> lift path (solve_presolved in
   /// core/presolve.hpp), so the whole hierarchy is built on the reduced
   /// instance and the finest result is lifted back.  Disabled by default at
-  /// this layer (see BurkardOptions::presolve).  The per-level solves run
-  /// burkard_heuristic and never presolve, whatever `coarse_solver.presolve`
-  /// and `refine_solver.presolve` say.
+  /// this layer (see BurkardOptions::presolve).  The coarsest solve runs
+  /// burkard_heuristic and never presolves, whatever `coarse_solver.presolve`
+  /// says.
   PresolveOptions presolve{.enabled = false};
 
   /// Hard cap on hierarchy depth (the level storage is reserved up front so
   /// the per-level problem pointers stay stable).
   static constexpr std::int32_t kMaxLevels = 64;
 
-  MultilevelOptions() {
-    coarse_solver.iterations = 80;
-    refine_solver.iterations = 30;
-  }
+  MultilevelOptions() { coarse_solver.iterations = 80; }
 };
 
 struct MultilevelResult {

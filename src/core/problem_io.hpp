@@ -26,6 +26,7 @@
 // built that way and the metric is recoverable; otherwise `custom`).
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
 #include <string>
 
@@ -33,6 +34,25 @@
 #include "netlist/io.hpp"
 
 namespace qbp {
+
+// Resource guards shared by the text parser and the binary wire decoder
+// (service/wire.cpp): a hostile or corrupted payload must produce a
+// descriptive error, never an allocation failure or an overflowed int32.
+// The service boundary (qbpartd) parses untrusted bytes, so these are
+// load-bearing, not cosmetic.  M partitions allocate two M x M double
+// matrices (2 * 8 MB at the cap); wire multiplicities accumulate into int32
+// totals.
+inline constexpr std::int64_t kMaxPartitions = 1024;
+inline constexpr std::int64_t kMaxWireMultiplicity = 1000000000;  // 1e9
+// Caps on the *totals*, not just per-line values: duplicate wire lines (and
+// repeated nets over the same pins) are combined by addition in
+// Netlist::finalize() / Csr::from_triplets, so per-pair multiplicities must
+// stay int32-safe after any amount of combining.  Capping the problem-wide
+// sum at 1e9 (< INT32_MAX) makes overflow unreachable.  The bundle cap
+// bounds memory against nets with huge pin lists (a k-pin `net` expands to
+// k*(k-1)/2 stored bundles).
+inline constexpr std::int64_t kMaxTotalWires = kMaxWireMultiplicity;
+inline constexpr std::int64_t kMaxWireBundles = 4000000;
 
 /// Parse a problem; on failure returns ok=false with a line-numbered
 /// message and leaves `out` unspecified.

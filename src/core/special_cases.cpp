@@ -1,6 +1,7 @@
 #include "core/special_cases.hpp"
 
 #include "util/check.hpp"
+#include "util/strings.hpp"
 
 
 namespace qbp {
@@ -14,7 +15,7 @@ PartitionProblem make_qap_problem(const Matrix<std::int32_t>& flow,
 
   Netlist netlist("qap");
   for (std::int32_t j = 0; j < n; ++j) {
-    netlist.add_component("f" + std::to_string(j), 1.0);
+    netlist.add_component(numbered("f", j), 1.0);
   }
   for (std::int32_t a = 0; a < n; ++a) {
     for (std::int32_t b = a + 1; b < n; ++b) {
@@ -40,7 +41,7 @@ PartitionProblem make_lap_problem(const Matrix<double>& cost) {
 
   Netlist netlist("lap");
   for (std::int32_t j = 0; j < n; ++j) {
-    netlist.add_component("t" + std::to_string(j), 1.0);
+    netlist.add_component(numbered("t", j), 1.0);
   }
   // P rows are agents = partitions; cost is already M x N with M = N.
   Matrix<double> zero_b(n, n, 0.0);
@@ -63,7 +64,7 @@ PartitionProblem make_gap_problem(const Matrix<double>& cost,
 
   Netlist netlist("gap");
   for (std::int32_t j = 0; j < n; ++j) {
-    netlist.add_component("item" + std::to_string(j),
+    netlist.add_component(numbered("item", j),
                           sizes[static_cast<std::size_t>(j)]);
   }
   Matrix<double> zero_b(m, m, 0.0);

@@ -5,6 +5,7 @@
 #include <numeric>
 
 #include "util/check.hpp"
+#include "util/strings.hpp"
 
 namespace qbp {
 
@@ -75,7 +76,7 @@ GeneratedNetlist generate_netlist(const RandomNetlistSpec& spec) {
     sizes.push_back(std::clamp(raw, lo, hi));
   }
   for (std::int32_t j = 0; j < spec.num_components; ++j) {
-    result.netlist.add_component("u" + std::to_string(j),
+    result.netlist.add_component(numbered("u", j),
                                  sizes[static_cast<std::size_t>(j)]);
   }
 

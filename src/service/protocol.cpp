@@ -74,12 +74,6 @@ ParseResult parse_request(std::string_view line, Request& out) {
         !read_int32(*solver, "iterations", out.solver.iterations, error)) {
       return {false, error};
     }
-    if (out.solver.starts < 1) return {false, "'starts' must be >= 1"};
-    if (out.solver.threads < 0) return {false, "'threads' must be >= 0"};
-    if (out.solver.inner_threads < 0) {
-      return {false, "'inner_threads' must be >= 0"};
-    }
-    if (out.solver.iterations < 1) return {false, "'iterations' must be >= 1"};
     const double seed = solver->get_number("seed", -1.0);
     if (seed >= 0.0 && std::isfinite(seed)) {
       out.solver.seed = static_cast<std::uint64_t>(seed);
@@ -97,38 +91,21 @@ ParseResult parse_request(std::string_view line, Request& out) {
     if (!read_int32(*solver, "presolve_rn", out.solver.presolve_rn, error)) {
       return {false, error};
     }
-    if (out.solver.presolve_rn < 0) {
-      return {false, "'presolve_rn' must be >= 0"};
-    }
     if (const json::Value* rules = solver->find("presolve_rules");
         rules != nullptr) {
       if (!rules->is_string()) {
         return {false, "'presolve_rules' must be a string"};
       }
       out.solver.presolve_rules = rules->as_string();
-      if (PresolveOptions parsed; !parse_presolve_rules(
-              out.solver.presolve_rules, parsed, error)) {
-        return {false, "'presolve_rules': " + error};
-      }
     }
     if (!read_int32(*solver, "ml_levels", out.solver.ml_levels, error) ||
         !read_int32(*solver, "ml_refine_passes", out.solver.ml_refine_passes,
                     error)) {
       return {false, error};
     }
-    if (out.solver.ml_levels < 0) {
-      return {false, "'ml_levels' must be >= 0 (0 = solver default)"};
-    }
-    if (out.solver.ml_refine_passes < -1) {
-      return {false, "'ml_refine_passes' must be >= -1 (-1 = solver default)"};
-    }
     if (const json::Value* shrink = solver->find("ml_min_shrink");
         shrink != nullptr) {
-      const double ratio = shrink->as_number(std::nan(""));
-      if (!std::isfinite(ratio) || ratio < 0.0 || ratio >= 1.0) {
-        return {false, "'ml_min_shrink' must be in [0, 1)"};
-      }
-      out.solver.ml_min_shrink = ratio;
+      out.solver.ml_min_shrink = shrink->as_number(std::nan(""));
     }
   }
 
@@ -142,11 +119,36 @@ ParseResult parse_request(std::string_view line, Request& out) {
   }
 
   out.deadline_ms = value.get_number("deadline_ms", 0.0);
-  if (!std::isfinite(out.deadline_ms) || out.deadline_ms < 0.0) {
-    return {false, "'deadline_ms' must be a non-negative number"};
-  }
   if (!read_int32(value, "priority", out.priority, error)) {
     return {false, error};
+  }
+  return validate_submit(out);
+}
+
+ParseResult validate_submit(const Request& request) {
+  const SolverSpec& solver = request.solver;
+  if (solver.starts < 1) return {false, "'starts' must be >= 1"};
+  if (solver.threads < 0) return {false, "'threads' must be >= 0"};
+  if (solver.inner_threads < 0) return {false, "'inner_threads' must be >= 0"};
+  if (solver.iterations < 1) return {false, "'iterations' must be >= 1"};
+  if (solver.presolve_rn < 0) return {false, "'presolve_rn' must be >= 0"};
+  std::string error;
+  if (PresolveOptions parsed;
+      !parse_presolve_rules(solver.presolve_rules, parsed, error)) {
+    return {false, "'presolve_rules': " + error};
+  }
+  if (solver.ml_levels < 0) {
+    return {false, "'ml_levels' must be >= 0 (0 = solver default)"};
+  }
+  if (!std::isfinite(solver.ml_min_shrink) || solver.ml_min_shrink < 0.0 ||
+      solver.ml_min_shrink >= 1.0) {
+    return {false, "'ml_min_shrink' must be in [0, 1)"};
+  }
+  if (solver.ml_refine_passes < -1) {
+    return {false, "'ml_refine_passes' must be >= -1 (-1 = solver default)"};
+  }
+  if (!std::isfinite(request.deadline_ms) || request.deadline_ms < 0.0) {
+    return {false, "'deadline_ms' must be a non-negative number"};
   }
   return {};
 }

@@ -124,6 +124,12 @@ struct Request {
 /// compatibility).
 [[nodiscard]] ParseResult parse_request(std::string_view line, Request& out);
 
+/// The range checks every submit obeys, whichever framing carried it:
+/// solver counts, presolve settings, V-cycle knobs and the deadline.  Both
+/// parse_request and the binary decode_submit (service/wire) call it after
+/// decoding, so a value is rejected by both with the same message.
+[[nodiscard]] ParseResult validate_submit(const Request& request);
+
 /// Serialize a request as one NDJSON line (no trailing newline); the
 /// client-side counterpart of parse_request.
 [[nodiscard]] std::string format_request(const Request& request);

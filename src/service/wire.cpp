@@ -7,7 +7,7 @@
 #include <utility>
 #include <vector>
 
-#include "core/presolve.hpp"
+#include "core/problem_io.hpp"
 #include "netlist/netlist.hpp"
 #include "partition/topology.hpp"
 #include "sparse/dense.hpp"
@@ -16,14 +16,6 @@
 namespace qbp::service {
 
 namespace {
-
-// Structural caps mirrored from the text parser (core/problem_io.cpp), so
-// a hostile binary payload is rejected with the same limits instead of
-// reaching a QBP_CHECK abort inside the core types.
-constexpr std::int64_t kMaxPartitions = 1024;
-constexpr std::int64_t kMaxWireMultiplicity = 1000000000;  // 1e9
-constexpr std::int64_t kMaxTotalWires = kMaxWireMultiplicity;
-constexpr std::int64_t kMaxWireBundles = 4000000;
 
 bool fail(std::string& error, std::string message) {
   error = std::move(message);
@@ -425,15 +417,6 @@ bool decode_submit(std::string_view payload, Request& out, std::string& error) {
       !read_i32(reader, out.solver.iterations, error, "iterations")) {
     return false;
   }
-  // Same bounds (and messages) as parse_request.
-  if (out.solver.starts < 1) return fail(error, "'starts' must be >= 1");
-  if (out.solver.threads < 0) return fail(error, "'threads' must be >= 0");
-  if (out.solver.inner_threads < 0) {
-    return fail(error, "'inner_threads' must be >= 0");
-  }
-  if (out.solver.iterations < 1) {
-    return fail(error, "'iterations' must be >= 1");
-  }
   if (!reader.varint(out.solver.seed)) {
     return fail(error, "truncated solver seed");
   }
@@ -446,43 +429,29 @@ bool decode_submit(std::string_view payload, Request& out, std::string& error) {
       !read_i32(reader, out.solver.presolve_rn, error, "presolve_rn")) {
     return false;
   }
-  if (out.solver.presolve_rn < 0) {
-    return fail(error, "'presolve_rn' must be >= 0");
-  }
   std::string_view rules;
   if (!reader.string(rules)) return fail(error, "truncated presolve_rules");
   out.solver.presolve_rules = std::string(rules);
-  if (PresolveOptions parsed; !parse_presolve_rules(rules, parsed, error)) {
-    return fail(error, "'presolve_rules': " + error);
-  }
   if (!read_i32(reader, out.solver.ml_levels, error, "ml_levels")) {
     return false;
   }
-  if (out.solver.ml_levels < 0) {
-    return fail(error, "'ml_levels' must be >= 0 (0 = solver default)");
-  }
-  if (!reader.f64(out.solver.ml_min_shrink) ||
-      !std::isfinite(out.solver.ml_min_shrink) ||
-      out.solver.ml_min_shrink < 0.0 || out.solver.ml_min_shrink >= 1.0) {
-    return fail(error, "'ml_min_shrink' must be in [0, 1)");
+  if (!reader.f64(out.solver.ml_min_shrink)) {
+    return fail(error, "truncated ml_min_shrink");
   }
   if (!read_i32(reader, out.solver.ml_refine_passes, error,
                 "ml_refine_passes")) {
     return false;
   }
-  if (out.solver.ml_refine_passes < -1) {
-    return fail(error, "'ml_refine_passes' must be >= -1 (-1 = solver default)");
-  }
-  if (!reader.f64(out.deadline_ms) || !std::isfinite(out.deadline_ms) ||
-      out.deadline_ms < 0.0) {
-    return fail(error, "'deadline_ms' must be a non-negative number");
-  }
+  if (!reader.f64(out.deadline_ms)) return fail(error, "truncated deadline_ms");
   if (!read_i32(reader, out.priority, error, "priority") ||
       !read_bool(reader, out.cache, error, "cache") ||
       !read_bool(reader, out.warm_start, error, "warm_start")) {
     return false;
   }
   if (!reader.done()) return fail(error, "trailing bytes after submit payload");
+  if (const ParseResult valid = validate_submit(out); !valid.ok) {
+    return fail(error, valid.message);
+  }
   return true;
 }
 

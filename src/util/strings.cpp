@@ -94,4 +94,10 @@ std::string format_grouped(long long value) {
   return result;
 }
 
+std::string numbered(std::string_view prefix, long long number) {
+  std::string out(prefix);
+  out += std::to_string(number);
+  return out;
+}
+
 }  // namespace qbp

@@ -31,4 +31,10 @@ namespace qbp {
 /// Thousands-grouped integer formatting for table output (e.g. "20,756").
 [[nodiscard]] std::string format_grouped(long long value);
 
+/// `prefix` followed by the decimal digits of `number` ("u" and 7 give
+/// "u7").  Use it for generated names instead of `"u" + std::to_string(7)`,
+/// whose inlined insert trips GCC 12's -Wrestrict false positive in
+/// optimized builds.
+[[nodiscard]] std::string numbered(std::string_view prefix, long long number);
+
 }  // namespace qbp

@@ -18,6 +18,7 @@
 #include "service/cache.hpp"
 #include "service/job.hpp"
 #include "test_support.hpp"
+#include "util/strings.hpp"
 
 namespace qbp::service {
 namespace {
@@ -71,7 +72,7 @@ TEST(Fingerprint, InvariantToWireOrderAndSplitting) {
   // Re-emit every merged bundle reversed and split as (m - 1) + 1.
   Netlist respelled("other_name");  // names are not part of the instance
   for (std::int32_t j = 0; j < n; ++j) {
-    respelled.add_component("x" + std::to_string(j),
+    respelled.add_component(numbered("x", j),
                             problem.netlist().component(j).size);
   }
   const auto& connections = problem.netlist().connection_matrix();
@@ -113,7 +114,7 @@ TEST(Fingerprint, SensitiveToRealInstanceChanges) {
     Netlist netlist("resized");
     for (std::int32_t j = 0; j < base.num_components(); ++j) {
       const double size = base.netlist().component(j).size;
-      netlist.add_component("c" + std::to_string(j), j == 0 ? size * 2 : size);
+      netlist.add_component(numbered("c", j), j == 0 ? size * 2 : size);
     }
     const auto& connections = base.netlist().connection_matrix();
     for (std::int32_t a = 0; a < base.num_components(); ++a) {
@@ -357,7 +358,7 @@ TEST(RunJobCache, WarmStartSolvesPerturbedResubmission) {
   Netlist netlist("eco");
   for (std::int32_t j = 0; j < base.num_components(); ++j) {
     const double size = base.netlist().component(j).size;
-    netlist.add_component("c" + std::to_string(j), j == 0 ? size * 0.5 : size);
+    netlist.add_component(numbered("c", j), j == 0 ? size * 0.5 : size);
   }
   const auto& connections = base.netlist().connection_matrix();
   for (std::int32_t a = 0; a < base.num_components(); ++a) {

@@ -176,30 +176,5 @@ TEST(Harness, SharedStartVariantUsesGivenAssignment) {
                    instance.problem.wirelength(initial.assignment));
 }
 
-TEST(Harness, TableFormatting) {
-  ExperimentRow row;
-  row.circuit = "cktx";
-  row.start_cost = 20756;
-  row.qbp = {17457, 15.9, 86.8, true};
-  row.gfm = {18894, 9.0, 12.2, true};
-  row.gkl = {17526, 15.6, 544.3, true};
-  const auto table = format_table("Table II", {row});
-  EXPECT_NE(table.find("Table II"), std::string::npos);
-  EXPECT_NE(table.find("cktx"), std::string::npos);
-  EXPECT_NE(table.find("20,756"), std::string::npos);
-  EXPECT_NE(table.find("17,457"), std::string::npos);
-  EXPECT_NE(table.find("15.9"), std::string::npos);
-}
-
-TEST(Harness, CsvFormatting) {
-  ExperimentRow row;
-  row.circuit = "ckty";
-  row.start_cost = 100;
-  row.qbp = {80, 20.0, 1.5, true};
-  const auto csv = rows_to_csv({row});
-  EXPECT_NE(csv.find("circuit,start"), std::string::npos);
-  EXPECT_NE(csv.find("ckty,100.0,80.0,20.00,1.500,1"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace qbp

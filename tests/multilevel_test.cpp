@@ -118,7 +118,6 @@ TEST_P(MultilevelSweep, ProducesFeasibleSolutions) {
       make_initial(problem, InitialStrategy::kGreedyBalanced, GetParam());
   MultilevelOptions options;
   options.coarse_solver.iterations = 40;
-  options.refine_solver.iterations = 15;
   // The 40-component instance sits below the default coarsest_target floor;
   // lower it so the sweep exercises a real V-cycle.
   options.coarsest_target = 10;
@@ -139,7 +138,6 @@ TEST(Multilevel, WorksOnPresetCircuit) {
                                     InitialStrategy::kQbpZeroWireCost, 1993);
   MultilevelOptions options;
   options.coarse_solver.iterations = 40;
-  options.refine_solver.iterations = 20;
   const auto result =
       solve_qbp_multilevel(instance.problem, initial.assignment, options);
   ASSERT_TRUE(result.finest.found_feasible);
@@ -178,7 +176,6 @@ TEST(Multilevel, BitIdenticalAcrossInnerThreads) {
     MultilevelOptions options;
     options.coarsest_target = 50;
     options.coarse_solver.iterations = 20;
-    options.refine_solver.iterations = 10;
     options.coarsen.inner_threads = threads;
     options.coarse_solver.inner_threads = threads;
     options.refine_solver.inner_threads = threads;
@@ -235,7 +232,6 @@ TEST(Multilevel, RefinementNeverLosesFeasibility) {
         make_initial(problem, InitialStrategy::kGreedyBalanced, seed);
     MultilevelOptions options;
     options.coarsest_target = 10;
-    options.refine_burkard_max_n = 0;
     options.coarse_solver.iterations = 30;
     const auto result =
         solve_qbp_multilevel(problem, initial.assignment, options);
@@ -257,7 +253,6 @@ TEST(Multilevel, ShrinkRatioFloorStopsHierarchy) {
   options.coarsest_target = 1;  // only the shrink floor may stop it
   options.min_shrink = 0.75;
   options.coarse_solver.iterations = 5;
-  options.refine_solver.iterations = 2;
   const auto result = solve_qbp_multilevel(problem, initial.assignment, options);
   // Every committed level shrank by at least the floor, and the hierarchy
   // terminated well before the depth cap (matching merges at most pairs, so
@@ -278,7 +273,6 @@ TEST(Multilevel, CoarsestTargetStopsHierarchy) {
   options.max_levels = MultilevelOptions::kMaxLevels;
   options.coarsest_target = 150;
   options.coarse_solver.iterations = 5;
-  options.refine_solver.iterations = 2;
   const auto result = solve_qbp_multilevel(problem, initial.assignment, options);
   // Only the coarsest level may sit at or below the target.
   for (std::size_t level = 0; level + 1 < result.level_sizes.size(); ++level) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "netlist/nets.hpp"
+#include "util/strings.hpp"
 
 namespace qbp {
 namespace {
@@ -8,7 +9,7 @@ namespace {
 HyperNetlist make_hyper() {
   HyperNetlist hyper("h");
   for (int k = 0; k < 5; ++k) {
-    hyper.add_component("c" + std::to_string(k), 1.0 + k);
+    hyper.add_component(numbered("c", k), 1.0 + k);
   }
   hyper.add_net("n2", {0, 1}, 3);        // 2-pin
   hyper.add_net("n4", {1, 2, 3, 4}, 1);  // 4-pin

@@ -303,7 +303,6 @@ TEST(PresolveReducing, MultilevelLiftsReducedSolve) {
   MultilevelOptions options;
   options.presolve.enabled = true;
   options.coarse_solver.iterations = 10;
-  options.refine_solver.iterations = 10;
   const MultilevelResult result =
       solve_qbp_multilevel(problem, initial.assignment, options);
   ASSERT_TRUE(result.finest.found_feasible);
@@ -462,7 +461,6 @@ void expect_entry_points_agree(const PartitionProblem& problem,
 
   MultilevelOptions multilevel;
   multilevel.coarse_solver.iterations = 8;
-  multilevel.refine_solver.iterations = 8;
   MultilevelOptions multilevel_on = multilevel;
   multilevel_on.presolve.enabled = true;
   const MultilevelResult vcycle =

@@ -41,6 +41,7 @@
 #include "service/wire.hpp"
 #include "test_support.hpp"
 #include "util/prof.hpp"
+#include "util/strings.hpp"
 #include "util/wire.hpp"
 
 namespace qbp::service {
@@ -268,7 +269,7 @@ TEST(JobQueue, PriorityThenFifoOrder) {
   JobQueue queue(8);
   const auto job = [](std::int64_t seq, std::int32_t priority) {
     Job j;
-    j.id = "j" + std::to_string(seq);
+    j.id = numbered("j", seq);
     j.seq = seq;
     j.priority = priority;
     return j;
@@ -337,7 +338,7 @@ TEST(Server, EndToEndJobsProduceDeterministicResults) {
     Server server(options);
     for (int k = 0; k < 4; ++k) {
       server.handle_line(
-          submit_line("job" + std::to_string(k), problem,
+          submit_line(numbered("job", k), problem,
                       /*seed=*/100 + static_cast<std::uint64_t>(k)),
           log.client());
     }
@@ -856,7 +857,7 @@ TEST(Server, BinaryFramesBitIdenticalToNdjsonAcrossWorkers) {
   // rest, so jobs 2-6 hit in both framings and cache_hit is compared too.
   for (const bool sequenced : {false, true}) {
     for (const std::int32_t workers : {1, 4}) {
-      SCOPED_TRACE("workers=" + std::to_string(workers) +
+      SCOPED_TRACE(numbered("workers=", workers) +
                    (sequenced ? " sequenced" : " concurrent"));
       ResponseLog ndjson_log;
       {
@@ -865,7 +866,7 @@ TEST(Server, BinaryFramesBitIdenticalToNdjsonAcrossWorkers) {
         Server server(options);
         for (int k = 0; k < kJobs; ++k) {
           const auto request =
-              make_wire_request("j" + std::to_string(k), problem, 7);
+              make_wire_request(numbered("j", k), problem, 7);
           server.handle_line(format_request(request), ndjson_log.client());
           if (sequenced && k == 0) wait_for_results(ndjson_log, 1);
         }
@@ -878,7 +879,7 @@ TEST(Server, BinaryFramesBitIdenticalToNdjsonAcrossWorkers) {
         Server server(options);
         for (int k = 0; k < kJobs; ++k) {
           const auto request =
-              make_wire_request("j" + std::to_string(k), problem, 7);
+              make_wire_request(numbered("j", k), problem, 7);
           const std::string frame = wire_frame(request);
           wire::FrameView view;
           std::string error;

@@ -29,6 +29,7 @@
 #include "service/wire.hpp"
 #include "sparse/csr.hpp"
 #include "test_support.hpp"
+#include "util/json.hpp"
 #include "util/wire.hpp"
 
 namespace qbp {
@@ -435,6 +436,69 @@ TEST(MessageCodec, MalformedPayloadsFailWithMessagesNeverAbort) {
   EXPECT_NE(error.find("bogus"), std::string::npos) << error;
   // A note payload of two empty strings decodes; garbage does not.
   EXPECT_FALSE(service::decode_note(std::string("\xFF", 1), id, text, error));
+}
+
+// Every submit range check lives in one validate_submit: an out-of-range
+// value must be rejected by both framings with the same message.
+TEST(MessageCodec, OutOfRangeSubmitFieldsFailIdenticallyInBothFramings) {
+  struct Case {
+    const char* field;
+    bool in_solver;  // member of the NDJSON "solver" object
+    json::Value value;
+    void (*apply)(service::Request&);
+  };
+  const Case cases[] = {
+      {"starts", true, 0, [](service::Request& r) { r.solver.starts = 0; }},
+      {"threads", true, -1,
+       [](service::Request& r) { r.solver.threads = -1; }},
+      {"inner_threads", true, -1,
+       [](service::Request& r) { r.solver.inner_threads = -1; }},
+      {"iterations", true, 0,
+       [](service::Request& r) { r.solver.iterations = 0; }},
+      {"presolve_rn", true, -1,
+       [](service::Request& r) { r.solver.presolve_rn = -1; }},
+      {"presolve_rules", true, "r0,bogus",
+       [](service::Request& r) { r.solver.presolve_rules = "r0,bogus"; }},
+      {"ml_levels", true, -1,
+       [](service::Request& r) { r.solver.ml_levels = -1; }},
+      {"ml_refine_passes", true, -2,
+       [](service::Request& r) { r.solver.ml_refine_passes = -2; }},
+      {"ml_min_shrink", true, 1.0,
+       [](service::Request& r) { r.solver.ml_min_shrink = 1.0; }},
+      {"deadline_ms", false, -5.0,
+       [](service::Request& r) { r.deadline_ms = -5.0; }},
+  };
+  service::Request valid = submit_request();
+  valid.problem_text = "problem p\n";
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.field);
+    json::Value line;
+    ASSERT_TRUE(json::parse(service::format_request(valid), line).ok);
+    if (c.in_solver) {
+      json::Value solver = *line.find("solver");
+      solver.set(c.field, c.value);
+      line.set("solver", std::move(solver));
+    } else {
+      line.set(c.field, c.value);
+    }
+    service::Request parsed;
+    const ParseResult ndjson = service::parse_request(line.dump(), parsed);
+    ASSERT_FALSE(ndjson.ok);
+    EXPECT_NE(ndjson.message.find(c.field), std::string::npos)
+        << ndjson.message;
+
+    service::Request bad = valid;
+    c.apply(bad);
+    std::string frame;
+    service::encode_request_frame(bad, frame);
+    std::uint8_t type = 0;
+    std::string payload;
+    split_frame(frame, type, payload);
+    service::Request decoded;
+    std::string error;
+    ASSERT_FALSE(service::decode_submit(payload, decoded, error));
+    EXPECT_EQ(error, ndjson.message);
+  }
 }
 
 // --------------------------------------------- problem value identity ----

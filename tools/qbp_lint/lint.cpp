@@ -4,9 +4,12 @@
 #include <cctype>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <map>
 #include <set>
 #include <sstream>
+#include <string>
+#include <string_view>
 
 namespace qbp::lint {
 
@@ -34,6 +37,15 @@ struct TokenizedFile {
   std::vector<Token> tokens;
   std::map<int, Suppression> suppressions;  // keyed by comment line
 };
+
+/// Joins `parts` into one string.  Messages are built with this rather than
+/// `"literal" + std::string`, whose inlined insert trips GCC 12's -Wrestrict
+/// false positive in optimized builds.
+std::string concat(std::initializer_list<std::string_view> parts) {
+  std::string out;
+  for (const std::string_view part : parts) out += part;
+  return out;
+}
 
 bool ident_start(char c) {
   return std::isalpha(static_cast<unsigned char>(c)) != 0 || c == '_';
@@ -126,8 +138,9 @@ TokenizedFile tokenize(const std::string& text) {
     if (c == 'R' && i + 1 < n && text[i + 1] == '"') {
       std::size_t delim_end = i + 2;
       while (delim_end < n && text[delim_end] != '(') ++delim_end;
-      const std::string closer =
-          ")" + text.substr(i + 2, delim_end - (i + 2)) + "\"";
+      const std::string closer = concat(
+          {")", std::string_view(text).substr(i + 2, delim_end - (i + 2)),
+           "\""});
       std::size_t end = text.find(closer, delim_end);
       end = end == std::string::npos ? n : end + closer.size();
       for (std::size_t k = i; k < end; ++k) {
@@ -332,9 +345,9 @@ struct Linter {
         if ((name == "thread" || name == "jthread") &&
             text_at(t + 3) != "::") {
           report(file_index, "raw-thread", token.line,
-                 "std::" + name +
-                     " outside util/parallel; use the shared work pool "
-                     "(par::Pool) so results stay bit-identical");
+                 concat({"std::", name,
+                         " outside util/parallel; use the shared work pool "
+                         "(par::Pool) so results stay bit-identical"}));
         }
         if (name == "async") {
           report(file_index, "raw-thread", token.line,
@@ -348,9 +361,9 @@ struct Linter {
         }
         if (name == "reduce" || name == "transform_reduce") {
           report(file_index, "unordered-reduce", token.line,
-                 "std::" + name +
-                     " accumulates in unspecified order; use the pool's "
-                     "ordered reduction");
+                 concat({"std::", name,
+                         " accumulates in unspecified order; use the pool's "
+                         "ordered reduction"}));
         }
       }
 
@@ -370,8 +383,9 @@ struct Linter {
           tokens[t - 2].kind == TokenKind::kIdent &&
           unordered_names.count(tokens[t - 2].text) != 0) {
         report(file_index, "unordered-iter", token.line,
-               "iteration over unordered container '" + tokens[t - 2].text +
-                   "' has implementation-defined order");
+               concat({"iteration over unordered container '",
+                       tokens[t - 2].text,
+                       "' has implementation-defined order"}));
       }
 
       // unordered-iter: range-for whose range expression names a known
@@ -395,8 +409,9 @@ struct Linter {
             if (tokens[r].kind == TokenKind::kIdent &&
                 unordered_names.count(tokens[r].text) != 0) {
               report(file_index, "unordered-iter", tokens[r].line,
-                     "range-for over unordered container '" + tokens[r].text +
-                         "' has implementation-defined order");
+                     concat({"range-for over unordered container '",
+                             tokens[r].text,
+                             "' has implementation-defined order"}));
               break;
             }
           }
@@ -487,7 +502,7 @@ std::vector<Finding> run(const std::vector<std::string>& paths,
     } else if (fs::is_regular_file(path, ec)) {
       sources.push_back(path);
     } else {
-      error = "qbp_lint: cannot read '" + path + "'";
+      error = concat({"qbp_lint: cannot read '", path, "'"});
       return {};
     }
   }
@@ -498,7 +513,7 @@ std::vector<Finding> run(const std::vector<std::string>& paths,
   for (const std::string& source : sources) {
     std::ifstream in(source, std::ios::binary);
     if (!in) {
-      error = "qbp_lint: cannot open '" + source + "'";
+      error = concat({"qbp_lint: cannot open '", source, "'"});
       return {};
     }
     std::ostringstream buffer;
