@@ -405,9 +405,13 @@ Value run_eco_suite(const RunnerConfig& config) {
 // coarsest solve and every refinement pass are bit-identical at any
 // inner-thread count and with the SIMD kernels on or off -- so the final
 // objective, feasibility, level count and per-level sizes are all
-// exact-gated; "kernel" records which SIMD path ran and is not gated.  This
-// is the CI scaling gate: a re-run with --inner-threads 2 or --simd off
-// must pass --check against the same baseline.
+// exact-gated; "kernel" records which SIMD path ran and is not gated.
+// "row_builds" counts the DeltaEvaluator rows built during the solve
+// (counted work, which unlike wall clock does not drift with the host);
+// the profiler is on for the solve so the count reads the same with or
+// without --profile.  This is the CI scaling gate: a re-run with
+// --inner-threads 2 or --simd off must pass --check against the same
+// baseline.
 Value run_vcycle_suite(const RunnerConfig& config) {
   const std::vector<std::int32_t> sizes =
       config.smoke ? std::vector<std::int32_t>{10000}
@@ -428,10 +432,16 @@ Value run_vcycle_suite(const RunnerConfig& config) {
     options.refine_solver.inner_threads = inner_threads(config);
     options.presolve.enabled = config.presolve;
 
+    const bool profiling = qbp::prof::enabled();
+    qbp::prof::set_enabled(true);
+    const qbp::prof::PhaseReport before = qbp::prof::snapshot();
     const qbp::Timer timer;
     const auto result =
         qbp::solve_qbp_multilevel(problem, initial.assignment, options);
     const double seconds = timer.seconds();
+    const qbp::prof::PhaseReport solve = qbp::prof::snapshot().since(before);
+    qbp::prof::set_enabled(profiling);
+    const qbp::prof::PhaseStat* row_builds = solve.find("delta.row_build");
 
     Value sizes_json = Value::array();
     for (const std::int32_t size : result.level_sizes) {
@@ -449,6 +459,7 @@ Value run_vcycle_suite(const RunnerConfig& config) {
     row.set("seconds", seconds);
     row.set("final", final_of(problem, result.finest));
     row.set("feasible", result.finest.found_feasible);
+    row.set("row_builds", row_builds != nullptr ? row_builds->count : 0);
     rows.push_back(std::move(row));
     std::fprintf(stderr,
                  "  N=%d done (%.2fs, coarsen %.2fs, %d levels, kernel %s)\n",
@@ -1243,7 +1254,7 @@ const Suite kSuites[] = {
      {"cold_seconds", "warm_p50_seconds"}, {"variants", "warm_ratio"}, nullptr,
      run_eco_suite, check_eco},
     {"vcycle", "multilevel", true, {"n"},
-     {"final", "feasible", "levels", "level_sizes"},
+     {"final", "feasible", "levels", "level_sizes", "row_builds"},
      {"seconds", "coarsen_seconds"}, {"kernel"}, nullptr, run_vcycle_suite,
      nullptr},
     {"serve", "wire framing throughput", false,

@@ -2,9 +2,9 @@
 
 #include <vector>
 
-#include "util/timer.hpp"
-
+#include "core/delta_evaluator.hpp"
 #include "util/check.hpp"
+#include "util/timer.hpp"
 
 namespace qbp {
 
@@ -25,54 +25,16 @@ GklResult solve_gkl(const PartitionProblem& problem, const Assignment& initial,
 
   const Timer timer;
   const std::int32_t n = problem.num_components();
-  const std::int32_t m = problem.num_partitions();
   const auto& sizes = problem.netlist().sizes();
-  const auto& p = problem.linear_cost_matrix();
-  const auto& adjacency = problem.netlist().connection_matrix();
   const auto& topology = problem.topology();
-  const double alpha = problem.alpha();
-  const double beta = problem.beta();
 
   GklResult result;
   result.assignment = initial;
   Assignment& assignment = result.assignment;
   CapacityLedger ledger(assignment, sizes, problem.topology().capacities());
-
-  // inc(j, i): quadratic cost of j's incident wires (both ordered
-  // directions) if j sat in partition i, all neighbors at their current
-  // partitions.
-  Matrix<double> inc(n, m, 0.0);
-  const auto rebuild_inc_row = [&](std::int32_t j) {
-    auto row = inc.row(j);
-    for (std::int32_t i = 0; i < m; ++i) row[static_cast<std::size_t>(i)] = 0.0;
-    const auto neighbors = adjacency.row_indices(j);
-    const auto wires = adjacency.row_values(j);
-    for (std::size_t k = 0; k < neighbors.size(); ++k) {
-      const PartitionId other = assignment[neighbors[k]];
-      for (std::int32_t i = 0; i < m; ++i) {
-        row[static_cast<std::size_t>(i)] +=
-            wires[k] * (topology.wire_cost(i, other) + topology.wire_cost(other, i));
-      }
-    }
-  };
-  for (std::int32_t j = 0; j < n; ++j) rebuild_inc_row(j);
-
-  // Exact objective change of swapping j1 (at p1) with j2 (at p2); O(1)
-  // given inc (see header: the shared-edge terms cancel except for the
-  // +2E correction).
-  const auto swap_delta = [&](std::int32_t j1, std::int32_t j2) {
-    const PartitionId p1 = assignment[j1];
-    const PartitionId p2 = assignment[j2];
-    const double w = adjacency.value_or(j1, j2, 0);
-    const double edge =
-        w * (topology.wire_cost(p1, p2) + topology.wire_cost(p2, p1));
-    double delta = beta * (inc(j1, p2) + inc(j2, p1) - inc(j1, p1) -
-                           inc(j2, p2) + 2.0 * edge);
-    if (!p.empty()) {
-      delta += alpha * (p(p2, j1) - p(p1, j1) + p(p1, j2) - p(p2, j2));
-    }
-    return delta;
-  };
+  // Swap deltas on the true objective, O(1) from the evaluator's rows,
+  // which commit_swap keeps current for applied and rolled-back swaps.
+  DeltaEvaluator evaluator(problem, /*penalty=*/0.0);
 
   const auto swap_feasible = [&](std::int32_t j1, std::int32_t j2) {
     const PartitionId p1 = assignment[j1];
@@ -98,31 +60,7 @@ GklResult solve_gkl(const PartitionProblem& problem, const Assignment& initial,
     ledger.add(p2, s1);
     ledger.remove(p2, s2);
     ledger.add(p1, s2);
-    assignment.set(j1, p2);
-    assignment.set(j2, p1);
-    // Every neighbor of a moved endpoint sees its inc row shift by the
-    // endpoint's relocation; this also fixes inc(j1, .) and inc(j2, .)
-    // because each is (usually) a neighbor of the other -- rebuild their
-    // rows outright to cover the non-adjacent case too.
-    for (const std::int32_t moved : {j1, j2}) {
-      const PartitionId from = moved == j1 ? p1 : p2;
-      const PartitionId to = moved == j1 ? p2 : p1;
-      const auto neighbors = adjacency.row_indices(moved);
-      const auto wires = adjacency.row_values(moved);
-      for (std::size_t k = 0; k < neighbors.size(); ++k) {
-        const std::int32_t other = neighbors[k];
-        if (other == j1 || other == j2) continue;  // rebuilt below
-        auto row = inc.row(other);
-        for (std::int32_t i = 0; i < m; ++i) {
-          row[static_cast<std::size_t>(i)] +=
-              wires[k] *
-              (topology.wire_cost(i, to) + topology.wire_cost(to, i) -
-               topology.wire_cost(i, from) - topology.wire_cost(from, i));
-        }
-      }
-    }
-    rebuild_inc_row(j1);
-    rebuild_inc_row(j2);
+    evaluator.commit_swap(assignment, j1, j2);
   };
 
   std::vector<bool> locked(static_cast<std::size_t>(n), false);
@@ -150,7 +88,7 @@ GklResult solve_gkl(const PartitionProblem& problem, const Assignment& initial,
         for (std::int32_t b = a + 1; b < n; ++b) {
           if (locked[static_cast<std::size_t>(b)]) continue;
           if (assignment[a] == assignment[b]) continue;
-          const double delta = swap_delta(a, b);
+          const double delta = evaluator.swap_delta(assignment, a, b);
           if (have_best && delta >= best_delta) continue;
           if (!swap_feasible(a, b)) continue;
           best_delta = delta;

@@ -15,9 +15,9 @@
 // first 6 outer loops is insignificant, this cutoff strategy provides
 // speedup without sacrificing solution quality" -- max_outer_loops = 6.
 //
-// Swap gains are O(1) thanks to a cached N x M incidence-cost table
-// inc(j, i) = cost of j's incident wires if j sat in partition i, updated
-// in O(degree * M) per applied swap.
+// Swap gains are O(1) from the shared DeltaEvaluator's cached incident-cost
+// rows (cost of j's incident wires if j sat in partition i), which every
+// applied or rolled-back swap shifts in place in O(degree * M).
 #pragma once
 
 #include <cstdint>

@@ -22,9 +22,10 @@ namespace qbp {
 /// Capacity C1 stays invariant throughout; timing enters via the penalty.
 /// All deltas flow through the shared DeltaEvaluator: the move sweep reads
 /// the cached per-component row (one O(degree * M) build amortized over the
-/// sweep instead of M separate O(degree) evaluations), and commits keep the
-/// cache stamps exact.  Declared in burkard.hpp: the multilevel V-cycle uses
-/// the same descent as its per-level refinement.
+/// whole polish instead of M separate O(degree) evaluations), swap deltas
+/// come from two rows in O(1), and commits shift the affected rows in place.
+/// Declared in burkard.hpp: the multilevel V-cycle uses the same descent as
+/// its per-level refinement.
 void polish_iterate(const PartitionProblem& problem, DeltaEvaluator& evaluator,
                     Assignment& u, std::int32_t max_sweeps,
                     std::uint64_t sweep_seed, std::int32_t inner_threads) {
@@ -60,19 +61,17 @@ void polish_iterate(const PartitionProblem& problem, DeltaEvaluator& evaluator,
     return true;
   };
 
+  // Build every evaluator row up front (in parallel when inner_threads >
+  // 1).  Commits shift rows in place and never drop them, so these rows
+  // serve every sweep, and at every thread count each row is built from the
+  // same `u` and shifted by the same commits: the arithmetic, and so the
+  // descent, is bit-identical across thread counts.
+  evaluator.prefetch_rows(u, inner_threads);
+
   const auto& adjacency = problem.netlist().connection_matrix();
   for (std::int32_t sweep = 0; sweep < max_sweeps; ++sweep) {
     QBP_PROF_SCOPE("polish.sweep");
     bool improved = false;
-
-    // Build all stale evaluator rows for the sweep up front, in parallel.
-    // A row still valid when the serial scan below reaches it is byte-for-
-    // byte what the lazy build would have produced (its component's
-    // neighbors have not moved since, by definition of validity), so this
-    // only shifts *when* rows are built -- results are unchanged, and at
-    // inner_threads == 1 the prefetch is skipped to keep the serial path
-    // free of double builds.
-    if (inner_threads > 1) evaluator.prefetch_rows(u, inner_threads);
 
     // Move sweep: best capacity-feasible improving move per component,
     // selected from the evaluator's cached all-targets row.

@@ -21,7 +21,8 @@
 //      sizes are member sums), C2 (the coarse bound is the tightest fine
 //      bound) and the objective (intra-cluster wires cost B(i,i) = 0).
 //   4. REFINE at that level: `refine_passes` bounded best-improvement
-//      sweeps through the shared DeltaEvaluator (dirty-flag cached deltas),
+//      sweeps through the shared DeltaEvaluator (cached rows shifted in
+//      place on commit),
 //      then a min-conflicts timing repair when the descent traded
 //      feasibility away.  Repeat 3-4 up to the finest level.
 //

@@ -55,8 +55,9 @@ class QhatMatrix {
 
   /// Change in penalized_value if `component` moved to `target`, everything
   /// else fixed.  O(degree in A + degree in Dc).  Delegates to the shared
-  /// implementation in core/delta_evaluator.hpp (the DeltaEvaluator adds
-  /// per-component caching on top for all-targets scans).
+  /// one-off implementation in core/delta_evaluator.hpp; DeltaEvaluator
+  /// answers the same deltas from per-component rows that it keeps current
+  /// on commit, and validate_deltas checks the two against each other.
   [[nodiscard]] double move_delta_penalized(const Assignment& assignment,
                                             std::int32_t component,
                                             PartitionId target) const;

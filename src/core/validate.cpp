@@ -179,6 +179,9 @@ ValidationReport validate_deltas(const PartitionProblem& problem,
         rng.next_below(static_cast<std::uint64_t>(n)));
     if (j1 == j2) continue;
 
+    // Three independently computed values for the same swap: the
+    // evaluator's two cached rows plus the pair correction, the QhatMatrix
+    // one-off delta, and the full recompute.
     const double incremental = evaluator.swap_delta(assignment, j1, j2);
     const double one_off = qhat.swap_delta_penalized(assignment, j1, j2);
     scratch.set(j1, assignment[j2]);

@@ -14,10 +14,9 @@
 //   * reported numbers -- the penalized value and true objective recomputed
 //     via QhatMatrix / PartitionProblem::objective and compared within a
 //     tolerance;
-//   * incremental machinery -- sampled move/swap deltas from DeltaEvaluator
-//     (both the cached move_deltas row and the one-off paths) cross-checked
-//     against QhatMatrix's delta and against a full from-scratch
-//     re-evaluation of the mutated assignment.
+//   * incremental machinery -- sampled move/swap deltas from DeltaEvaluator's
+//     cached rows cross-checked against QhatMatrix's one-off delta and
+//     against a full from-scratch re-evaluation of the mutated assignment.
 //
 // A non-empty report routed through enforce() fires the contract framework
 // (util/check.hpp), so the configured fail mode decides what a violation
@@ -116,8 +115,8 @@ struct ReportedOutcome {
     const ValidateOptions& options = {});
 
 /// Cross-check the incremental delta machinery at `assignment`: sampled
-/// moves and swaps evaluated through DeltaEvaluator (cached and one-off
-/// paths) and QhatMatrix::{move,swap}_delta_penalized must all agree with a
+/// moves and swaps evaluated from DeltaEvaluator's cached rows and through
+/// QhatMatrix::{move,swap}_delta_penalized must all agree with a
 /// full from-scratch re-evaluation of the mutated assignment.
 [[nodiscard]] ValidationReport validate_deltas(
     const PartitionProblem& problem, const Assignment& assignment,

@@ -1,10 +1,11 @@
 // DeltaEvaluator: the unified incremental evaluation layer.  Every delta it
-// reports -- exact or cached -- must equal the brute difference of the full
-// evaluation (penalized_value / objective), and the cache must stay exact
-// across arbitrary commit sequences.
+// reports -- one-off or from cached rows -- must equal the brute difference
+// of the full evaluation (penalized_value / objective), and rows shifted in
+// place by commits must stay exact across arbitrary commit sequences.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/delta_evaluator.hpp"
@@ -48,11 +49,15 @@ TEST(DeltaEvaluator, MoveDeltaMatchesPenalizedValueDifference) {
   }
 }
 
+// swap_delta reads cached rows, so every unrelated assignment needs an
+// invalidate() first -- the same contract move_deltas has.  On the
+// real-valued instance (linear term) the row arithmetic and the one-off
+// QhatMatrix delta sum in different orders, so they agree to rounding only.
 TEST(DeltaEvaluator, SwapDeltaMatchesPenalizedValueDifference) {
   const PartitionProblem problem =
       test::make_tiny_problem({.with_linear_term = true, .seed = 11});
   const QhatMatrix qhat(problem, kPenalty);
-  const DeltaEvaluator evaluator(problem, kPenalty);
+  DeltaEvaluator evaluator(problem, kPenalty);
   Rng rng(5);
 
   for (std::int32_t trial = 0; trial < 40; ++trial) {
@@ -69,9 +74,38 @@ TEST(DeltaEvaluator, SwapDeltaMatchesPenalizedValueDifference) {
     swapped.set(b, assignment[a]);
     const double exact = qhat.penalized_value(swapped) - before;
 
+    evaluator.invalidate();
     EXPECT_NEAR(evaluator.swap_delta(assignment, a, b), exact, 1e-9);
-    EXPECT_DOUBLE_EQ(evaluator.swap_delta(assignment, a, b),
-                     qhat.swap_delta_penalized(assignment, a, b));
+    EXPECT_NEAR(evaluator.swap_delta(assignment, a, b),
+                qhat.swap_delta_penalized(assignment, a, b), 1e-9);
+  }
+}
+
+// On integer-valued costs every summation order is exact: the row-based
+// swap delta, the one-off QhatMatrix delta and the full recompute agree to
+// the bit.  This is what keeps solver trajectories bit-identical.
+TEST(DeltaEvaluator, SwapDeltaBitIdenticalOnIntegerCosts) {
+  const PartitionProblem problem = test::make_tiny_problem(
+      {.num_components = 8, .num_partitions = 4, .seed = 11});
+  const QhatMatrix qhat(problem, kPenalty);
+  DeltaEvaluator evaluator(problem, kPenalty);
+  Rng rng(5);
+
+  for (std::int32_t trial = 0; trial < 40; ++trial) {
+    const Assignment assignment = test::random_complete(
+        problem.num_components(), problem.num_partitions(), rng);
+    evaluator.invalidate();
+    const double before = qhat.penalized_value(assignment);
+    for (std::int32_t a = 0; a < problem.num_components(); ++a) {
+      for (std::int32_t b = a + 1; b < problem.num_components(); ++b) {
+        Assignment swapped = assignment;
+        swapped.set(a, assignment[b]);
+        swapped.set(b, assignment[a]);
+        const double delta = evaluator.swap_delta(assignment, a, b);
+        EXPECT_EQ(delta, qhat.penalized_value(swapped) - before);
+        EXPECT_EQ(delta, qhat.swap_delta_penalized(assignment, a, b));
+      }
+    }
   }
 }
 
@@ -194,6 +228,215 @@ TEST(DeltaEvaluator, PrefetchMatchesLazyBuildAtEveryThreadCount) {
           << "component " << j << " threads " << threads;
     }
     EXPECT_EQ(prefetched.cache_hits(), n);  // every read was a prefetch hit
+  }
+}
+
+// --- rows kept current on commit -------------------------------------------
+
+/// Integer-valued asymmetric instance: B and D unrelated, asymmetric and
+/// with nonzero diagonals, so both ordered penalty directions and every
+/// term of the swap's pair correction (g(x, x) included) carry weight.
+PartitionProblem make_asymmetric_problem(std::uint64_t seed) {
+  Rng rng(seed);
+  const std::int32_t n = 9;
+  const std::int32_t m = 4;
+  Netlist netlist("asym");
+  for (std::int32_t j = 0; j < n; ++j) {
+    netlist.add_component("c" + std::to_string(j), rng.next_double(0.5, 2.0));
+  }
+  for (std::int32_t a = 0; a < n; ++a) {
+    for (std::int32_t b = a + 1; b < n; ++b) {
+      if (rng.next_bool(0.5)) {
+        netlist.add_wires(a, b, static_cast<std::int32_t>(rng.next_int(1, 4)));
+      }
+    }
+  }
+  Matrix<double> wire_cost(m, m, 0.0);
+  Matrix<double> delay(m, m, 0.0);
+  for (std::int32_t i1 = 0; i1 < m; ++i1) {
+    for (std::int32_t i2 = 0; i2 < m; ++i2) {
+      wire_cost(i1, i2) = static_cast<double>(rng.next_int(i1 == i2 ? 0 : 1, 9));
+      delay(i1, i2) = static_cast<double>(rng.next_int(i1 == i2 ? 0 : 1, 4));
+    }
+  }
+  const double capacity = netlist.total_size() / m * 1.7;
+  PartitionTopology topology = PartitionTopology::custom(
+      std::move(wire_cost), std::move(delay),
+      std::vector<double>(static_cast<std::size_t>(m), capacity));
+  TimingConstraints timing(n);
+  for (std::int32_t a = 0; a < n; ++a) {
+    for (std::int32_t b = a + 1; b < n; ++b) {
+      if (rng.next_bool(0.4)) {
+        timing.add(a, b, static_cast<double>(rng.next_int(1, 3)));
+      }
+    }
+  }
+  return PartitionProblem(std::move(netlist), std::move(topology),
+                          std::move(timing));
+}
+
+/// The metric an evaluator with `penalty` descends, evaluated from scratch.
+double full_value(const PartitionProblem& problem, double penalty,
+                  const Assignment& assignment) {
+  return penalty > 0.0 ? QhatMatrix(problem, penalty).penalized_value(assignment)
+                       : problem.objective(assignment);
+}
+
+struct CommitCase {
+  const char* name;
+  PartitionProblem problem;
+  /// Integer-valued costs: shifted rows must equal rebuilt ones bitwise.
+  bool integer_costs;
+};
+
+std::vector<CommitCase> commit_cases() {
+  std::vector<CommitCase> cases;
+  cases.push_back({"integer", test::make_tiny_problem(
+                                  {.num_components = 12, .num_partitions = 4,
+                                   .seed = 41}),
+                   true});
+  cases.push_back({"real-valued",
+                   test::make_tiny_problem({.num_components = 12,
+                                            .num_partitions = 4,
+                                            .with_linear_term = true,
+                                            .seed = 43}),
+                   false});
+  cases.push_back({"asymmetric", make_asymmetric_problem(47), true});
+  return cases;
+}
+
+// Every row is built once up front and then only ever shifted in place by
+// commits.  After a random walk of moves and swaps, every move_deltas row
+// and a sample of swap deltas must match a freshly built evaluator (bitwise
+// on integer costs) and the full recompute.
+TEST(DeltaEvaluator, RowsShiftedOnCommitMatchFreshRows) {
+  for (const CommitCase& test_case : commit_cases()) {
+    const PartitionProblem& problem = test_case.problem;
+    const std::int32_t n = problem.num_components();
+    const std::int32_t m = problem.num_partitions();
+    for (const double penalty : {kPenalty, 0.0}) {
+      SCOPED_TRACE(std::string(test_case.name) + " penalty " +
+                   std::to_string(penalty));
+      Rng rng(61);
+      Assignment assignment = test::random_complete(n, m, rng);
+      DeltaEvaluator evaluator(problem, penalty);
+      evaluator.prefetch_rows(assignment, 1);
+
+      for (std::int32_t step = 0; step < 200; ++step) {
+        const auto a = static_cast<std::int32_t>(
+            rng.next_below(static_cast<std::uint64_t>(n)));
+        if (step % 2 == 0) {
+          const auto b = static_cast<std::int32_t>(
+              rng.next_below(static_cast<std::uint64_t>(n)));
+          evaluator.commit_swap(assignment, a, b);
+        } else {
+          const auto target = static_cast<PartitionId>(
+              rng.next_below(static_cast<std::uint64_t>(m)));
+          evaluator.commit_move(assignment, a, target);
+        }
+      }
+
+      DeltaEvaluator fresh(problem, penalty);
+      const double before = full_value(problem, penalty, assignment);
+      for (std::int32_t j = 0; j < n; ++j) {
+        const auto shifted = evaluator.move_deltas(assignment, j);
+        const std::vector<double> got(shifted.begin(), shifted.end());
+        const auto rebuilt = fresh.move_deltas(assignment, j);
+        for (PartitionId i = 0; i < m; ++i) {
+          const auto k = static_cast<std::size_t>(i);
+          Assignment moved = assignment;
+          moved.set(j, i);
+          const double exact = full_value(problem, penalty, moved) - before;
+          if (test_case.integer_costs) {
+            EXPECT_EQ(got[k], rebuilt[k]) << "component " << j << " -> " << i;
+            EXPECT_EQ(got[k], exact) << "component " << j << " -> " << i;
+          } else {
+            EXPECT_NEAR(got[k], exact, 1e-9) << "component " << j << " -> " << i;
+          }
+        }
+      }
+      for (std::int32_t sample = 0; sample < 40; ++sample) {
+        const auto a = static_cast<std::int32_t>(
+            rng.next_below(static_cast<std::uint64_t>(n)));
+        const auto b = static_cast<std::int32_t>(
+            rng.next_below(static_cast<std::uint64_t>(n)));
+        Assignment swapped = assignment;
+        swapped.set(a, assignment[b]);
+        swapped.set(b, assignment[a]);
+        const double exact = full_value(problem, penalty, swapped) - before;
+        const double delta = evaluator.swap_delta(assignment, a, b);
+        if (test_case.integer_costs) {
+          EXPECT_EQ(delta, fresh.swap_delta(assignment, a, b))
+              << "pair " << a << ", " << b;
+          EXPECT_EQ(delta, exact) << "pair " << a << ", " << b;
+        } else {
+          EXPECT_NEAR(delta, exact, 1e-9) << "pair " << a << ", " << b;
+        }
+      }
+      // No row was ever rebuilt: commits shift rows, they do not drop them.
+      EXPECT_EQ(evaluator.cache_misses(), static_cast<std::uint64_t>(n));
+    }
+  }
+}
+
+// The V-cycle's coarse levels: components that are both neighbors (wire
+// multiplicity > 1) and timing partners, swapped and moved through one
+// evaluator.  Every pair's swap delta must equal the full recompute at
+// every step of the walk, violated bounds included.
+TEST(DeltaEvaluator, SwapOfWiredTimingPartnersStaysExact) {
+  Netlist netlist("coarse");
+  for (std::int32_t j = 0; j < 5; ++j) {
+    netlist.add_component("k" + std::to_string(j), 1.0);
+  }
+  netlist.add_wires(0, 1, 3);
+  netlist.add_wires(0, 2, 2);
+  netlist.add_wires(1, 2, 5);
+  netlist.add_wires(1, 3, 4);
+  netlist.add_wires(2, 4, 1);
+  TimingConstraints timing(5);
+  timing.add(0, 1, 1.0);
+  timing.add(1, 2, 1.0);
+  timing.add(1, 3, 2.0);
+  timing.add(0, 4, 1.0);
+  const PartitionProblem problem(
+      std::move(netlist),
+      PartitionTopology::grid(1, 4, CostKind::kManhattan, 5.0),
+      std::move(timing));
+  const std::int32_t n = problem.num_components();
+
+  for (const double penalty : {kPenalty, 0.0}) {
+    SCOPED_TRACE("penalty " + std::to_string(penalty));
+    Rng rng(71);
+    Assignment assignment =
+        test::random_complete(n, problem.num_partitions(), rng);
+    DeltaEvaluator evaluator(problem, penalty);
+    evaluator.prefetch_rows(assignment, 1);
+    for (std::int32_t step = 0; step < 60; ++step) {
+      const double before = full_value(problem, penalty, assignment);
+      for (std::int32_t a = 0; a < n; ++a) {
+        for (std::int32_t b = a + 1; b < n; ++b) {
+          Assignment swapped = assignment;
+          swapped.set(a, assignment[b]);
+          swapped.set(b, assignment[a]);
+          ASSERT_EQ(evaluator.swap_delta(assignment, a, b),
+                    full_value(problem, penalty, swapped) - before)
+              << "step " << step << " pair " << a << ", " << b;
+        }
+      }
+      // Mostly swap the wired partner pairs; sometimes move one of them.
+      const std::int32_t a = step % 3 == 0 ? 0 : 1;
+      const std::int32_t b = step % 3 == 0 ? 1 : 2;
+      if (step % 4 == 3) {
+        evaluator.commit_move(assignment, a,
+                              static_cast<PartitionId>(rng.next_below(4)));
+      } else {
+        evaluator.commit_swap(assignment, a, b);
+        if (assignment[a] == assignment[b]) {
+          evaluator.commit_move(assignment, b, (assignment[b] + 1) % 4);
+        }
+      }
+    }
+    EXPECT_EQ(evaluator.cache_misses(), static_cast<std::uint64_t>(n));
   }
 }
 
