@@ -409,9 +409,10 @@ Value run_eco_suite(const RunnerConfig& config) {
 // "row_builds" counts the DeltaEvaluator rows built during the solve
 // (counted work, which unlike wall clock does not drift with the host);
 // the profiler is on for the solve so the count reads the same with or
-// without --profile.  This is the CI scaling gate: a re-run with
-// --inner-threads 2 or --simd off must pass --check against the same
-// baseline.
+// without --profile.  "repair_moves" sums the moves of the per-level
+// min-conflicts timing repairs, also counted work.  This is the CI scaling
+// gate: a re-run with --inner-threads 2 or --simd off must pass --check
+// against the same baseline.
 Value run_vcycle_suite(const RunnerConfig& config) {
   const std::vector<std::int32_t> sizes =
       config.smoke ? std::vector<std::int32_t>{10000}
@@ -460,6 +461,7 @@ Value run_vcycle_suite(const RunnerConfig& config) {
     row.set("final", final_of(problem, result.finest));
     row.set("feasible", result.finest.found_feasible);
     row.set("row_builds", row_builds != nullptr ? row_builds->count : 0);
+    row.set("repair_moves", result.repair_moves);
     rows.push_back(std::move(row));
     std::fprintf(stderr,
                  "  N=%d done (%.2fs, coarsen %.2fs, %d levels, kernel %s)\n",
@@ -1254,7 +1256,8 @@ const Suite kSuites[] = {
      {"cold_seconds", "warm_p50_seconds"}, {"variants", "warm_ratio"}, nullptr,
      run_eco_suite, check_eco},
     {"vcycle", "multilevel", true, {"n"},
-     {"final", "feasible", "levels", "level_sizes", "row_builds"},
+     {"final", "feasible", "levels", "level_sizes", "row_builds",
+      "repair_moves"},
      {"seconds", "coarsen_seconds"}, {"kernel"}, nullptr, run_vcycle_suite,
      nullptr},
     {"serve", "wire framing throughput", false,

@@ -169,14 +169,21 @@ Assignment uncoarsen(const CoarseProblem& coarse,
 
 namespace {
 
+/// What refine_level reports besides the refined assignment.
+struct RefineOutcome {
+  bool feasible = false;          // the refined `u` is fully feasible
+  std::int64_t repair_moves = 0;  // moves of the level's repair walk, if any
+};
+
 /// Refine one uncoarsened level in place: polish (bounded best-improvement
 /// descent on the penalized objective, C1 invariant), then -- if the
 /// descent traded C2 away while a feasible point is in hand -- a
 /// min-conflicts timing repair, keeping whichever feasible point has the
 /// better true objective.  `u` enters as the projection and leaves as the
-/// refined assignment; returns whether the refined `u` is fully feasible.
-bool refine_level(const PartitionProblem& problem, Assignment& u,
-                  const MultilevelOptions& options, std::uint64_t level_seed) {
+/// refined assignment.
+RefineOutcome refine_level(const PartitionProblem& problem, Assignment& u,
+                           const MultilevelOptions& options,
+                           std::uint64_t level_seed) {
   const Assignment projected = u;
   const bool projected_feasible = problem.is_feasible(projected);
 
@@ -188,6 +195,7 @@ bool refine_level(const PartitionProblem& problem, Assignment& u,
   }
 
   bool feasible = problem.is_feasible(u);
+  std::int64_t repair_moves = 0;
   if (!feasible && problem.satisfies_capacity(u)) {
     QBP_PROF_SCOPE("multilevel.refine.repair");
     RepairOptions repair_options;
@@ -199,6 +207,7 @@ bool refine_level(const PartitionProblem& problem, Assignment& u,
     // would only have burned the level's time budget.
     repair_options.max_moves = 10 * static_cast<std::int64_t>(problem.num_components());
     const RepairResult repaired = repair_timing(problem, u, repair_options);
+    repair_moves = repaired.moves;
     if (repaired.feasible) {
       u = repaired.assignment;
       feasible = true;
@@ -213,7 +222,7 @@ bool refine_level(const PartitionProblem& problem, Assignment& u,
       feasible = true;
     }
   }
-  return feasible;
+  return {feasible, repair_moves};
 }
 
 /// Wrap a refined assignment as a BurkardResult so every level hands the
@@ -314,8 +323,9 @@ MultilevelResult run_vcycle(const PartitionProblem& problem,
     const std::uint64_t level_seed =
         options.coarsen.seed * 0x9e3779b97f4a7c15ull +
         static_cast<std::uint64_t>(level);
-    const bool feasible = refine_level(fine, u, options, level_seed);
-    run = wrap_refined(fine, std::move(u), feasible,
+    const RefineOutcome refined = refine_level(fine, u, options, level_seed);
+    result.repair_moves += refined.repair_moves;
+    run = wrap_refined(fine, std::move(u), refined.feasible,
                        options.refine_solver.penalty);
   }
 

@@ -128,6 +128,9 @@ struct MultilevelResult {
   /// Wall clock spent building the coarsening hierarchy (subset of
   /// `seconds`).
   double coarsen_seconds = 0.0;
+  /// Moves made by the per-level min-conflicts timing repairs, summed over
+  /// the refined levels (counted work: the same at every thread count).
+  std::int64_t repair_moves = 0;
 };
 
 /// Full V-cycle from `initial` (used only to seed the coarsest solve).

@@ -7,8 +7,13 @@
 // a component involved in a violated constraint and move it to the
 // capacity-feasible partition with the fewest resulting violations
 // (sideways moves allowed, random tie-breaking).  Used by make_initial as a
-// fallback, and available to users whose hand-made assignments need
-// legalizing.
+// fallback, by the V-cycle after each level's polish, by ECO repair, and
+// available to users whose hand-made assignments need legalizing.
+//
+// Conflict counts are kept incrementally over an M x M worst-delay table
+// max(D(a, b), D(b, a)): a move costs O(M * deg) to score every target of
+// the picked component in one pass over its Dc row, plus O(deg) to update
+// the counts of its timing partners.
 #pragma once
 
 #include <cstdint>

@@ -1,9 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
+#include "bench_support/circuits.hpp"
 #include "core/brute_force.hpp"
 #include "core/burkard.hpp"
 #include "core/embedding.hpp"
 #include "core/initial.hpp"
+#include "core/multilevel.hpp"
 #include "core/qhat.hpp"
 #include "core/repair.hpp"
 #include "test_support.hpp"
@@ -305,6 +311,203 @@ TEST(Repair, RespectsMoveBudget) {
   options.max_moves = 3;
   const auto result = repair_timing(problem, start, options);
   EXPECT_LE(result.moves, 3);
+}
+
+/// The min-conflicts walk with every count taken from scratch: after each
+/// move the mover and each of its timing partners are recounted over their
+/// whole Dc rows with two delay lookups per constraint, each target is
+/// scored by its own recount, and the conflicted component is drawn by an
+/// ascending scan.  repair_timing keeps its counts incrementally and must
+/// make exactly this walk: the same RNG draws, targets and counts.
+RepairResult full_recount_repair(const PartitionProblem& problem,
+                                 const Assignment& start,
+                                 const RepairOptions& options) {
+  const std::int32_t n = problem.num_components();
+  const std::int32_t m = problem.num_partitions();
+  const auto& sizes = problem.netlist().sizes();
+  const auto conflicts_at = [&](const Assignment& assignment,
+                                std::int32_t component, PartitionId target) {
+    const auto partners = problem.timing().partners(component);
+    const auto bounds = problem.timing().bounds(component);
+    std::int32_t conflicts = 0;
+    for (std::size_t k = 0; k < partners.size(); ++k) {
+      const PartitionId other = assignment[partners[k]];
+      if (problem.topology().delay(target, other) > bounds[k] ||
+          problem.topology().delay(other, target) > bounds[k]) {
+        ++conflicts;
+      }
+    }
+    return conflicts;
+  };
+
+  RepairResult result;
+  result.assignment = start;
+  Assignment& assignment = result.assignment;
+  CapacityLedger ledger(assignment, sizes, problem.topology().capacities());
+  Rng rng(options.seed);
+  const std::int64_t budget = options.max_moves >= 0
+                                  ? options.max_moves
+                                  : 200 * static_cast<std::int64_t>(n);
+  std::vector<std::int32_t> count(static_cast<std::size_t>(n));
+  for (std::int32_t j = 0; j < n; ++j) {
+    count[static_cast<std::size_t>(j)] = conflicts_at(assignment, j, assignment[j]);
+  }
+  std::vector<std::int32_t> conflicted;
+  std::vector<PartitionId> best_targets;
+  while (result.moves < budget) {
+    conflicted.clear();
+    for (std::int32_t j = 0; j < n; ++j) {
+      if (count[static_cast<std::size_t>(j)] > 0) conflicted.push_back(j);
+    }
+    if (conflicted.empty()) break;
+    const std::int32_t j = conflicted[rng.pick_index(conflicted)];
+    const double size = sizes[static_cast<std::size_t>(j)];
+
+    best_targets.clear();
+    if (rng.next_bool(options.noise)) {
+      for (PartitionId i = 0; i < m; ++i) {
+        if (i != assignment[j] && ledger.fits(i, size)) best_targets.push_back(i);
+      }
+    } else {
+      std::int32_t best_conflicts = count[static_cast<std::size_t>(j)];
+      for (PartitionId i = 0; i < m; ++i) {
+        if (i == assignment[j] || !ledger.fits(i, size)) continue;
+        const std::int32_t conflicts = conflicts_at(assignment, j, i);
+        if (conflicts < best_conflicts) {
+          best_conflicts = conflicts;
+          best_targets.assign(1, i);
+        } else if (conflicts == best_conflicts) {
+          best_targets.push_back(i);
+        }
+      }
+    }
+    if (best_targets.empty()) {
+      ++result.moves;
+      continue;
+    }
+    const PartitionId target = best_targets[rng.pick_index(best_targets)];
+    ledger.remove(assignment[j], size);
+    ledger.add(target, size);
+    assignment.set(j, target);
+    ++result.moves;
+    count[static_cast<std::size_t>(j)] = conflicts_at(assignment, j, target);
+    for (const std::int32_t partner : problem.timing().partners(j)) {
+      count[static_cast<std::size_t>(partner)] =
+          conflicts_at(assignment, partner, assignment[partner]);
+    }
+  }
+  result.feasible = problem.satisfies_capacity(assignment) &&
+                    problem.satisfies_timing(assignment);
+  return result;
+}
+
+/// 60 components on 6 partitions with random D(a, b) != D(b, a), so a
+/// constraint can hold one way round and fail the other.  Bounds are the
+/// worse direction's delay at a hidden placement, so the instance is
+/// timing-feasible.
+PartitionProblem make_asymmetric_delay_problem(std::uint64_t seed) {
+  Rng rng(seed);
+  const std::int32_t n = 60;
+  const std::int32_t m = 6;
+  Netlist netlist("asym-delay");
+  for (std::int32_t j = 0; j < n; ++j) {
+    netlist.add_component("c" + std::to_string(j), rng.next_double(0.5, 2.0));
+  }
+  Matrix<double> wire_cost(m, m, 0.0);
+  Matrix<double> delay(m, m, 0.0);
+  for (PartitionId a = 0; a < m; ++a) {
+    for (PartitionId b = 0; b < m; ++b) {
+      if (a == b) continue;
+      wire_cost(a, b) = 1.0;
+      delay(a, b) = static_cast<double>(rng.next_int(1, 6));
+    }
+  }
+  const double capacity = netlist.total_size() / m * 1.5;
+  PartitionTopology topology = PartitionTopology::custom(
+      std::move(wire_cost), std::move(delay),
+      std::vector<double>(static_cast<std::size_t>(m), capacity));
+  const Assignment hidden = test::random_complete(n, m, rng);
+  TimingConstraints timing(n);
+  for (std::int32_t a = 0; a < n; ++a) {
+    for (std::int32_t b = a + 1; b < n; ++b) {
+      if (rng.next_bool(0.08)) {
+        timing.add(a, b, std::max(topology.delay(hidden[a], hidden[b]),
+                                  topology.delay(hidden[b], hidden[a])));
+      }
+    }
+  }
+  return PartitionProblem(std::move(netlist), std::move(topology),
+                          std::move(timing));
+}
+
+TEST(Repair, WalkMatchesFullRecountReference) {
+  struct Case {
+    const char* name;
+    PartitionProblem problem;
+    Assignment start;
+  };
+  std::vector<Case> cases;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    test::TinySpec spec;
+    spec.num_components = 8;
+    spec.num_partitions = 4;
+    spec.constraint_probability = 0.4;
+    spec.seed = seed;
+    auto problem = test::make_tiny_problem(spec);
+    auto start =
+        make_initial(problem, InitialStrategy::kRandomFeasible, seed).assignment;
+    cases.push_back({"tiny", std::move(problem), std::move(start)});
+  }
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    auto problem = make_asymmetric_delay_problem(seed);
+    ASSERT_NE(problem.topology().delay(0, 1), problem.topology().delay(1, 0))
+        << "seed " << seed;
+    auto start =
+        make_initial(problem, InitialStrategy::kRandomFeasible, seed).assignment;
+    cases.push_back({"asymmetric", std::move(problem), std::move(start)});
+  }
+  {
+    // Coarsen until the Dc rows are dense, as on the V-cycle's coarse levels.
+    CoarseProblem level = coarsen(make_scaling_problem(2000, 7));
+    while (level.problem.num_components() > 150) level = coarsen(level.problem);
+    ASSERT_GT(level.problem.timing().count() * 2,
+              30 * static_cast<std::int64_t>(level.problem.num_components()))
+        << "average Dc degree of the coarse level";
+    auto start = make_initial(level.problem, InitialStrategy::kRandomFeasible, 7)
+                     .assignment;
+    cases.push_back({"coarse", std::move(level.problem), std::move(start)});
+  }
+
+  // Every noise level must see both a walk that converges and one that
+  // exhausts its budget.
+  for (const double noise : {0.0, RepairOptions{}.noise, 1.0}) {
+    std::int32_t converged = 0;
+    std::int32_t exhausted = 0;
+    for (const Case& c : cases) {
+      ASSERT_TRUE(c.start.is_complete() && c.problem.satisfies_capacity(c.start))
+          << c.name;
+      const std::int32_t n = c.problem.num_components();
+      for (const std::int64_t max_moves :
+           {std::int64_t{-1}, std::int64_t{10} * n, std::int64_t{3}}) {
+        RepairOptions options;
+        options.noise = noise;
+        options.max_moves = max_moves;
+        options.seed = static_cast<std::uint64_t>(n) * 31 + 5;
+        const RepairResult expected =
+            full_recount_repair(c.problem, c.start, options);
+        const RepairResult actual = repair_timing(c.problem, c.start, options);
+        SCOPED_TRACE(::testing::Message()
+                     << c.name << " n=" << n << " noise=" << noise
+                     << " max_moves=" << max_moves);
+        EXPECT_EQ(actual.assignment, expected.assignment);
+        EXPECT_EQ(actual.moves, expected.moves);
+        EXPECT_EQ(actual.feasible, expected.feasible);
+        ++(expected.feasible ? converged : exhausted);
+      }
+    }
+    EXPECT_GT(converged, 0) << "noise " << noise;
+    EXPECT_GT(exhausted, 0) << "noise " << noise;
+  }
 }
 
 }  // namespace
